@@ -69,14 +69,14 @@ void run_counters() {
     // One local decrease: the warm path touches only the levels the edge
     // reaches, so its relaxation bill must stay a small fraction of the
     // rebuild row below (<10% is the figure docs/DYNAMIC.md quotes).
-    const auto& dec_edge = g.edge_list()[17];
+    const auto dec_edge = g.edge_list()[17];
     const auto dec = dyn.update(dec_edge.u, dec_edge.v,
                                 g.edge_weight(dec_edge.u, dec_edge.v) * 0.5);
     scenarios.push_back(update_scenario("dynamic_update_local_decrease", dec));
 
     // One increase on another edge: invalidates and re-runs every level —
     // the worst case, bounded by one fresh oracle build.
-    const auto& inc_edge = g.edge_list()[91];
+    const auto inc_edge = g.edge_list()[91];
     const auto inc =
         dyn.update(inc_edge.u, inc_edge.v,
                    dyn.graph().edge_weight(inc_edge.u, inc_edge.v) * 1.5);
@@ -104,7 +104,7 @@ void run_counters() {
   // update-free deployment would pay per change).
   {
     Graph updated = g;
-    const auto& e = g.edge_list()[17];
+    const auto e = g.edge_list()[17];
     updated.set_edge_weight(e.u, e.v, g.edge_weight(e.u, e.v) * 0.5);
     const auto built =
         serve::FrtEnsemble::build(updated, seed, dynamic_options(kTrees));

@@ -1,24 +1,8 @@
 #include "src/frt/dynamic_frt.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "src/parallel/parallel.hpp"
 #include "src/util/assertions.hpp"
 
 namespace pmte {
-
-namespace {
-
-/// Minimum-distance hint for FrtTree::build — must match the P-H
-/// pipeline's choice (pipelines.cpp: dist_hint of the base graph), so the
-/// maintained tree is bit-identical to sample_frt_oracle_on's.
-Weight dist_hint(const Graph& g) {
-  const Weight w = g.min_edge_weight();
-  return is_finite(w) ? w : 1.0;
-}
-
-}  // namespace
 
 DynamicFrt::DynamicFrt(const SimulatedGraph& h, Rng& rng,
                        const FrtOptions& opts)
@@ -35,34 +19,12 @@ DynamicFrt::DynamicFrt(const SimulatedGraph& h, Rng& rng,
 }
 
 void DynamicFrt::run_to_fixpoint(const std::vector<Vertex>* changed0) {
-  unsigned cap = opts_.max_iterations;
-  if (cap == 0) {
-    // le_lists_oracle's automatic bound: SPD(H) ∈ O(log² n) w.h.p.
-    const double n = std::max<double>(h_->num_vertices(), 2);
-    const double log_n = std::log2(n);
-    cap = static_cast<unsigned>(std::max(8.0, 4.0 * log_n * log_n));
-  }
-  converged_ = false;
-  PerThreadBuffers<Vertex> buffers;
-  std::vector<Vertex> changed;
-  const std::vector<Vertex>* changed_ptr = changed0;
-  for (unsigned i = 0; i < cap; ++i) {
-    auto next = oracle_.step(states_, changed_ptr);
-    ++iterations_;
-    buffers.clear();
-    parallel_for(next.size(), [&](std::size_t v) {
-      if (!alg_.equal(next[v], states_[v])) {
-        buffers.local().push_back(static_cast<Vertex>(v));
-      }
-    });
-    buffers.drain_sorted(changed);
-    states_ = std::move(next);
-    if (changed.empty()) {
-      converged_ = true;
-      break;
-    }
-    changed_ptr = &changed;
-  }
+  const unsigned cap = opts_.max_iterations != 0
+                           ? opts_.max_iterations
+                           : default_h_iteration_cap(h_->num_vertices());
+  const auto run = oracle_.run_to_fixpoint(states_, changed0, cap);
+  iterations_ += run.iterations;
+  converged_ = run.reached_fixpoint;
 }
 
 bool DynamicFrt::apply_update(const WeightedEdge& edge, Weight new_weight) {

@@ -73,11 +73,10 @@ class DynamicFrt {
   }
 
  private:
-  /// oracle_run's loop shape on the *retained* oracle: step until the
-  /// changed set drains or the automatic O(log² n) cap (le_lists_oracle's
-  /// formula) is hit.  `changed0` threads the first step's changed list —
-  /// nullptr stamps everything (fresh runs), an empty list stamps nothing
-  /// (post-update continuations: the weights changed, not the states).
+  /// MbfOracle::run_to_fixpoint on the *retained* oracle, under
+  /// le_lists_oracle's iteration cap (default_h_iteration_cap when
+  /// opts.max_iterations is 0).  `changed0` as there: nullptr for fresh
+  /// runs, empty for post-update continuations.
   void run_to_fixpoint(const std::vector<Vertex>* changed0);
 
   const SimulatedGraph* h_;

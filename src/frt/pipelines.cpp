@@ -19,14 +19,12 @@ double resolve_eps_hat(double requested, Vertex n) {
   return 1.0 / (log_n * log_n);
 }
 
-namespace {
-
-/// Minimum-distance hint for FrtTree::build; edgeless graphs (n ≤ 1) have
-/// no minimum edge weight, any positive value works.
 Weight dist_hint(const Graph& g) {
   const Weight w = g.min_edge_weight();
   return is_finite(w) ? w : 1.0;
 }
+
+namespace {
 
 std::size_t max_list_length(const LeListsResult& le) {
   std::size_t worst = 0;

@@ -87,4 +87,9 @@ struct FrtSample {
 /// (1+ε̂)^{O(log n)} stays 1 + o(1); the polylog exponent is a free choice).
 [[nodiscard]] double resolve_eps_hat(double requested, Vertex n);
 
+/// Minimum-distance hint for FrtTree::build: the graph's minimum edge
+/// weight (edgeless graphs, n ≤ 1, have none; any positive value works).
+/// The pipelines and DynamicFrt all pass this, so their trees agree.
+[[nodiscard]] Weight dist_hint(const Graph& g);
+
 }  // namespace pmte

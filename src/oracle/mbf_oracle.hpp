@@ -72,6 +72,7 @@
 // tests/test_dynamic.cpp pins against full rebuilds.
 
 #include <algorithm>
+#include <cmath>
 #include <concepts>
 #include <cstdint>
 #include <iterator>
@@ -183,6 +184,49 @@ class MbfOracle {
     return opts_.oracle_level_reuse ? sweep(x, changed) : jacobi_step(x);
   }
 
+  /// Outcome of run_to_fixpoint.
+  struct FixpointRun {
+    unsigned iterations = 0;  ///< H-iterations executed
+    bool reached_fixpoint = false;
+  };
+
+  /// Step until the changed set drains (the filtered fixpoint, ≤ SPD(H) ∈
+  /// O(log² n) H-iterations w.h.p., Theorem 4.5) or `max_h_iterations`
+  /// steps ran, replacing `states` in place.  The changed set between
+  /// consecutive H-iterations is threaded into step(), so levels whose
+  /// inputs did not change (or are absorbed by their cached closure) are
+  /// skipped wholesale and the rest warm-restart.  `changed0` is the
+  /// first step's changed list: nullptr stamps every vertex (fresh runs),
+  /// an empty list stamps none (continuations after update() — the
+  /// weights changed, not the states).
+  FixpointRun run_to_fixpoint(std::vector<State>& states,
+                              const std::vector<Vertex>* changed0,
+                              unsigned max_h_iterations) {
+    FixpointRun run;
+    PerThreadBuffers<Vertex> buffers;
+    std::vector<Vertex> changed;  // vs the previous H-iteration, sorted
+    const std::vector<Vertex>* changed_ptr = changed0;
+    for (unsigned i = 0; i < max_h_iterations; ++i) {
+      auto next = step(states, changed_ptr);
+      ++run.iterations;
+      // Fixpoint test and cross-H-iteration frontier in one pass.
+      buffers.clear();
+      parallel_for(next.size(), [&](std::size_t v) {
+        if (!alg_->equal(next[v], states[v])) {
+          buffers.local().push_back(static_cast<Vertex>(v));
+        }
+      });
+      buffers.drain_sorted(changed);
+      states = std::move(next);
+      if (changed.empty()) {
+        run.reached_fixpoint = true;
+        break;
+      }
+      changed_ptr = &changed;
+    }
+    return run;
+  }
+
   /// Absorb one already-applied edge-weight change of G'.  The caller
   /// mutates the shared graph *first* (several oracles may observe one H,
   /// so the oracle never mutates it); `edge` carries the OLD weight and
@@ -198,7 +242,7 @@ class MbfOracle {
   /// the absorbed-input skips are suppressed until each level has re-run
   /// once.  Continue with step(x, &empty) — an empty changed list, not
   /// nullptr: the states did not change, the weights did — until the
-  /// changed set drains (oracle_run's loop shape).
+  /// changed set drains (run_to_fixpoint(x, &empty, cap)).
   ///
   /// An increase can strand too-strong cached entries that monotone
   /// iteration cannot revoke, so the oracle resets to its freshly
@@ -525,12 +569,18 @@ template <OracleAlgebra Algebra>
   return out;
 }
 
-/// Run the MBF-like algorithm `alg` on H until its filtered fixpoint
-/// (≤ SPD(H) ∈ O(log² n) iterations w.h.p., Theorem 4.5) or until
-/// `max_h_iterations`.  The changed set between consecutive H-iterations
-/// is threaded into MbfOracle::step, so levels whose inputs did not change
-/// (or are absorbed by their cached closure) are skipped wholesale and the
-/// rest warm-restart.
+/// Automatic H-iteration cap of an oracle run to the fixpoint,
+/// max(8, 4·log₂²n): SPD(H) ∈ O(log² n) w.h.p. (Theorem 4.5), and the
+/// fixpoint check stops a run as soon as the states stabilise, so the cap
+/// is only a safety net.
+[[nodiscard]] inline unsigned default_h_iteration_cap(Vertex n) {
+  const double log_n = std::log2(std::max<double>(n, 2));
+  return static_cast<unsigned>(std::max(8.0, 4.0 * log_n * log_n));
+}
+
+/// Run the MBF-like algorithm `alg` on H from r^V x⁽⁰⁾ until its filtered
+/// fixpoint or until `max_h_iterations` (MbfOracle::run_to_fixpoint on a
+/// fresh oracle).
 template <OracleAlgebra Algebra>
 [[nodiscard]] MbfRun<typename Algebra::State> oracle_run(
     const SimulatedGraph& h, const Algebra& alg,
@@ -540,27 +590,10 @@ template <OracleAlgebra Algebra>
   mbf_filter(alg, x0);  // r^V x⁽⁰⁾
   run.states = std::move(x0);
   MbfOracle<Algebra> oracle(h, alg, opts);
-  PerThreadBuffers<Vertex> buffers;
-  std::vector<Vertex> changed;  // vs the previous H-iteration, sorted
-  const std::vector<Vertex>* changed_ptr = nullptr;
-  for (unsigned i = 0; i < max_h_iterations; ++i) {
-    auto next = oracle.step(run.states, changed_ptr);
-    ++run.iterations;
-    // Fixpoint test and cross-H-iteration frontier in one pass.
-    buffers.clear();
-    parallel_for(next.size(), [&](std::size_t v) {
-      if (!alg.equal(next[v], run.states[v])) {
-        buffers.local().push_back(static_cast<Vertex>(v));
-      }
-    });
-    buffers.drain_sorted(changed);
-    run.states = std::move(next);
-    if (changed.empty()) {
-      run.reached_fixpoint = true;
-      break;
-    }
-    changed_ptr = &changed;
-  }
+  const auto fix = oracle.run_to_fixpoint(run.states, nullptr,
+                                          max_h_iterations);
+  run.iterations = fix.iterations;
+  run.reached_fixpoint = fix.reached_fixpoint;
   if (stats != nullptr) {
     *stats = oracle.stats();
     stats->h_iterations = run.iterations;

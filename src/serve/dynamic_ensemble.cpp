@@ -75,11 +75,7 @@ DynamicEnsemble::DynamicEnsemble(const Graph& g, std::uint64_t master_seed,
     maintainers_[t] = std::make_unique<DynamicFrt>(h_, rng, opts_.frt);
     indices_[t] = FrtIndex::build(maintainers_[t]->tree());
   };
-  if (opts.parallel_build) {
-    parallel_for(opts.trees, build_one, /*grain=*/1);
-  } else {
-    for (std::size_t t = 0; t < opts.trees; ++t) build_one(t);
-  }
+  parallel_for(opts.trees, build_one, /*grain=*/1);
 }
 
 DynamicEnsemble::UpdateStats DynamicEnsemble::update(Vertex u, Vertex v,
@@ -121,11 +117,7 @@ DynamicEnsemble::UpdateStats DynamicEnsemble::update(Vertex u, Vertex v,
       rebuilt[t] = 1;
     }
   };
-  if (opts_.parallel_build) {
-    parallel_for(maintainers_.size(), apply_one, /*grain=*/1);
-  } else {
-    for (std::size_t t = 0; t < maintainers_.size(); ++t) apply_one(t);
-  }
+  parallel_for(maintainers_.size(), apply_one, /*grain=*/1);
 
   UpdateStats stats;
   stats.incremental = new_weight <= old_prime;

@@ -35,9 +35,9 @@ EnsembleObs& ensemble_obs() {
   static EnsembleObs o{
       reg.counter("pmte_ensemble_builds_total", {}, "FrtEnsemble builds"),
       reg.counter("pmte_ensemble_loads_copied_total", {},
-                  "Ensemble loads through the copying stream reader"),
+                  "Ensemble loads from a stream (image copied into memory)"),
       reg.counter("pmte_ensemble_loads_mapped_total", {},
-                  "Ensemble loads through the zero-copy mmap reader"),
+                  "Ensemble loads from a memory-mapped file (zero-copy)"),
       reg.histogram("pmte_ensemble_build_duration_ns", {},
                     "Ensemble build wall time in ns (informational)"),
       reg.histogram("pmte_serve_batch_pairs", {},
@@ -60,8 +60,8 @@ inline void prefetch_ro(const void* p) {
 
 /// Flat per-tree pointers for the batch kernel — one cheap array of these
 /// per batch keeps the hot loop free of FrtIndex indirection.  The
-/// pointers alias the indices' sections (owned or mapped), which outlive
-/// the batch.
+/// pointers alias the indices' sections (owned or image views), which
+/// outlive the batch.
 struct TreeView {
   const std::uint32_t* sparse;       ///< RMQ table, row-major
   const std::uint32_t* euler_level;  ///< tour position → level
@@ -228,14 +228,10 @@ FrtEnsemble FrtEnsemble::build(const Graph& g, std::uint64_t master_seed,
     iterations[t] = sample.iterations;
     e.indices_[t] = FrtIndex::build(sample.tree);
   };
-  if (opts.parallel_build) {
-    // Tree slots are independent (own RNG stream, write only their own
-    // index), so any schedule produces the same ensemble; the per-tree
-    // engine loops detect the enclosing region and run serially.
-    parallel_for(opts.trees, build_one, /*grain=*/1);
-  } else {
-    for (std::size_t t = 0; t < opts.trees; ++t) build_one(t);
-  }
+  // Tree slots are independent (own RNG stream, write only their own
+  // index), so any schedule produces the same ensemble; the per-tree
+  // engine loops detect the enclosing region and run serially.
+  parallel_for(opts.trees, build_one, /*grain=*/1);
 
   for (std::size_t t = 0; t < opts.trees; ++t) {
     e.stats_.iterations += iterations[t];
@@ -433,11 +429,11 @@ FrtEnsemble::BatchStats FrtEnsemble::query_batch(
   return stats;
 }
 
-void FrtEnsemble::save(std::ostream& os, std::uint32_t version) const {
+void FrtEnsemble::save(std::ostream& os) const {
   // One writer spans the whole artefact: section padding is computed from
   // the absolute in-artefact offset, so the embedded index payloads stay
-  // 64-byte aligned for the mmap path.
-  BinaryWriter w(os, version);
+  // 64-byte aligned for the zero-copy parser.
+  BinaryWriter w(os);
   w.magic(kEnsembleMagic);
   w.u64(master_seed_);
   w.u64(graph_fingerprint_);
@@ -448,11 +444,24 @@ void FrtEnsemble::save(std::ostream& os, std::uint32_t version) const {
 FrtEnsemble FrtEnsemble::load(std::istream& is) {
   PMTE_OBS_SPAN("ensemble.load");
   PMTE_OBS_ONLY(if (obs::metrics_on()) ensemble_obs().loads_copied.add(1));
-  // One reader spans the whole artefact: the stream size is probed once,
-  // and the running position drives the v3 padding arithmetic.
-  BinaryReader r(is);
+  return from_image(ArtefactImage::read(is));
+}
+
+FrtEnsemble FrtEnsemble::load_mapped(const std::string& path) {
+  PMTE_OBS_SPAN("ensemble.load_mapped");
+  PMTE_OBS_ONLY(if (obs::metrics_on()) ensemble_obs().loads_mapped.add(1));
+  return from_image(ArtefactImage::map(path));
+}
+
+FrtEnsemble FrtEnsemble::from_image(ArtefactImage image) {
+  // Pin the image first: the index sections below are views into it, and
+  // the shared_ptr travels with the ensemble through moves and the
+  // registry, keeping the bytes alive until the last reference drops.
+  auto pinned = std::make_shared<const ArtefactImage>(std::move(image));
+  ImageReader r(pinned->bytes(), pinned->is_mapped());
   r.expect_magic(kEnsembleMagic);
   FrtEnsemble e;
+  e.image_ = std::move(pinned);
   e.master_seed_ = r.u64();
   e.graph_fingerprint_ = r.u64();
   const std::uint64_t trees = r.u64();
@@ -460,46 +469,13 @@ FrtEnsemble FrtEnsemble::load(std::istream& is) {
              "FrtEnsemble::load: implausible tree count");
   e.indices_.reserve(trees);
   for (std::uint64_t t = 0; t < trees; ++t) {
-    e.indices_.push_back(FrtIndex::load_from(r));
+    e.indices_.push_back(FrtIndex::parse(r));
     PMTE_CHECK(e.indices_.back().num_leaves() ==
                    e.indices_.front().num_leaves(),
                "FrtEnsemble::load: indices disagree on the vertex set");
   }
   e.finalize_query_layout();
   return e;
-}
-
-FrtEnsemble FrtEnsemble::load_mapped(MappedFile file) {
-  PMTE_OBS_SPAN("ensemble.load_mapped");
-  PMTE_OBS_ONLY(if (obs::metrics_on()) ensemble_obs().loads_mapped.add(1));
-  // Pin the mapping first: the index sections below are views into it,
-  // and the shared_ptr travels with the ensemble through moves and the
-  // registry, keeping the address range alive until the last reference
-  // drops.
-  auto mapping = std::make_shared<const MappedFile>(std::move(file));
-  MappedReader r(mapping->bytes());
-  r.expect_magic(kEnsembleMagic);
-  FrtEnsemble e;
-  e.mapping_ = std::move(mapping);
-  e.master_seed_ = r.u64();
-  e.graph_fingerprint_ = r.u64();
-  const std::uint64_t trees = r.u64();
-  PMTE_CHECK(trees >= 1 && trees <= (1ULL << 20),
-             "FrtEnsemble::load_mapped: implausible tree count");
-  e.indices_.reserve(trees);
-  for (std::uint64_t t = 0; t < trees; ++t) {
-    e.indices_.push_back(FrtIndex::load_mapped_from(r));
-    PMTE_CHECK(e.indices_.back().num_leaves() ==
-                   e.indices_.front().num_leaves(),
-               "FrtEnsemble::load_mapped: indices disagree on the vertex "
-               "set");
-  }
-  e.finalize_query_layout();
-  return e;
-}
-
-FrtEnsemble FrtEnsemble::load_mapped(const std::string& path) {
-  return load_mapped(MappedFile(path));
 }
 
 }  // namespace pmte::serve

@@ -34,15 +34,17 @@
 //                 off, and the hit/miss counters are deterministic at any
 //                 thread count (see hot_pair_cache.hpp).
 //
-// save()/load() persist the whole ensemble (master seed + every index)
-// in the versioned binary format; round-trips are exact.  load_mapped()
-// mmaps a v3 artefact instead: every index's persisted arrays become
-// views into the file image (zero bulk bytes copied — the load-path
-// counters in serialize.hpp prove it) and only the derived tables are
-// rebuilt.  The ensemble owns the mapping via shared_ptr, so registry
-// entries, tenants, and copies of the shared_ptr keep it alive for as
-// long as any query can touch it; served doubles and all logical
-// counters are bit-identical between the two load paths.
+// save() persists the whole ensemble (master seed + every index) in the
+// versioned binary format; round-trips are exact.  Both loads share one
+// parse path: load(istream) reads the stream into an owned aligned image,
+// load_mapped(path) mmaps the file, and either image is parsed in place —
+// every index's persisted arrays become views into it and only the
+// derived tables are rebuilt.  A mapped load copies zero bulk bytes (the
+// load-path counters in serialize.hpp prove it).  The ensemble owns its
+// image via shared_ptr, so registry entries, tenants, and copies of the
+// shared_ptr keep it alive for as long as any query can touch it; served
+// doubles and all logical counters are bit-identical between the two
+// load paths.
 //
 // Query path layout: alongside the per-index arrays the ensemble keeps a
 // structure-of-arrays copy of the leaf tour positions (leaf_pos_soa_,
@@ -72,8 +74,7 @@ enum class AggregatePolicy { min, median };
 struct EnsembleOptions {
   std::size_t trees = 8;
   EnsemblePipeline pipeline = EnsemblePipeline::oracle;
-  FrtOptions frt;             ///< weight rule, ε̂, hop-set, engine tunables
-  bool parallel_build = true; ///< results identical either way (split seeds)
+  FrtOptions frt;  ///< weight rule, ε̂, hop-set, engine tunables
 };
 
 /// Deterministic build accounting, summed over all trees (WorkDepth
@@ -127,7 +128,7 @@ class FrtEnsemble {
   [[nodiscard]] static std::uint64_t fingerprint(const Graph& g);
 
   /// Registry identity of this ensemble: serve::registry_fingerprint over
-  /// its serialized v2 prelude (header + master seed + graph fingerprint +
+  /// its serialized prelude (header + master seed + graph fingerprint +
   /// tree count).  A pure function of the deterministic build inputs, so a
   /// freshly built ensemble and its save→load round-trip fingerprint
   /// identically; the many-tenant server keys its EnsembleRegistry on it.
@@ -136,10 +137,12 @@ class FrtEnsemble {
     return indices_[t];
   }
   /// Whether this ensemble serves straight from a file mapping.
-  [[nodiscard]] bool is_mapped() const noexcept { return mapping_ != nullptr; }
+  [[nodiscard]] bool is_mapped() const noexcept {
+    return image_ != nullptr && image_->is_mapped();
+  }
   /// Size of the backing mapping in bytes (0 when not mapped).
   [[nodiscard]] std::size_t mapped_bytes() const noexcept {
-    return mapping_ ? mapping_->size() : 0;
+    return is_mapped() ? image_->size() : 0;
   }
   [[nodiscard]] const EnsembleBuildStats& build_stats() const noexcept {
     return stats_;
@@ -172,17 +175,16 @@ class FrtEnsemble {
                          AggregatePolicy policy, std::vector<Weight>& out,
                          HotPairCache* cache = nullptr) const;
 
-  /// Persist / restore through the versioned format (one position-tracking
-  /// writer/reader spans the whole artefact).  `version` exists for
-  /// compatibility fixtures — production saves use the default (v3).
-  void save(std::ostream& os, std::uint32_t version = kFormatVersion) const;
+  /// Persist through the versioned format (one position-tracking writer
+  /// spans the whole artefact).
+  void save(std::ostream& os) const;
+  /// Read `is` to its end into an owned aligned image and parse it in
+  /// place (the from_image path below).  Sections count as copied.
   [[nodiscard]] static FrtEnsemble load(std::istream& is);
-  /// Zero-copy load: mmap `path` (format v3 required) and point every
-  /// index's persisted arrays straight at the mapping; only the derived
-  /// tables are rebuilt.  The returned ensemble owns the mapping (shared,
-  /// so moves/copies through the registry keep it alive).
+  /// Zero-copy load: mmap `path` and parse it in place, so every index's
+  /// persisted arrays point straight at the mapping.  Sections count as
+  /// mapped.
   [[nodiscard]] static FrtEnsemble load_mapped(const std::string& path);
-  [[nodiscard]] static FrtEnsemble load_mapped(MappedFile file);
 
   friend bool operator==(const FrtEnsemble& a, const FrtEnsemble& b) {
     return a.master_seed_ == b.master_seed_ &&
@@ -191,8 +193,10 @@ class FrtEnsemble {
   }
 
  private:
+  /// The one load path: pin `image`, parse the ensemble artefact in it.
+  [[nodiscard]] static FrtEnsemble from_image(ArtefactImage image);
   /// Rebuild the derived structure-of-arrays query layout (leaf_pos_soa_).
-  /// Every path that produces a servable ensemble (build/load/load_mapped)
+  /// Every path that produces a servable ensemble (build/assemble/load)
   /// ends here.
   void finalize_query_layout();
 
@@ -203,10 +207,10 @@ class FrtEnsemble {
   // Derived: leaf tour positions interleaved [vertex·k + tree] so the
   // batch kernel's per-pair loop over trees reads contiguous words.
   std::vector<std::uint32_t> leaf_pos_soa_;
-  // Keeps a mapped file image alive for the indices' views (null when the
+  // Keeps a loaded image alive for the indices' views (null when the
   // ensemble owns its arrays).  shared_ptr: registry entries and tenant
-  // references all pin the same mapping.
-  std::shared_ptr<const MappedFile> mapping_;
+  // references all pin the same image.
+  std::shared_ptr<const ArtefactImage> image_;
 };
 
 [[nodiscard]] AggregatePolicy parse_policy(const std::string& name);

@@ -18,7 +18,7 @@ FrtIndex FrtIndex::build(const FrtTree& tree) {
   idx.levels_ = tree.num_levels();
   idx.beta_ = tree.beta();
   idx.dist_by_lca_level_ = tree.distance_by_lca_level();
-  // Build into plain vectors, then hand them to the owned-or-mapped
+  // Build into plain vectors, then hand them to the owned-or-viewed
   // sections once finished (ArraySection is read-only by design).
   std::vector<Weight> edge_weight(idx.levels_);
   for (unsigned l = 0; l < idx.levels_; ++l) {
@@ -281,56 +281,41 @@ void FrtIndex::save_into(BinaryWriter& w) const {
   w.vec_f64(edge_weight_by_level_);
 }
 
-void FrtIndex::save(std::ostream& os, std::uint32_t version) const {
-  BinaryWriter w(os, version);
+void FrtIndex::save(std::ostream& os) const {
+  BinaryWriter w(os);
   save_into(w);
 }
 
-void FrtIndex::finish_load() {
-  validate();
-  build_sparse_table();
-  build_structure_maps();
-}
-
-FrtIndex FrtIndex::load_from(BinaryReader& r) {
+FrtIndex FrtIndex::parse(ImageReader& r) {
   r.expect_magic(kIndexMagic);
   FrtIndex idx;
   idx.levels_ = r.u32();
   idx.beta_ = r.f64();
-  idx.node_level_ = r.vec_u32();
-  idx.wdepth_ = r.vec_f64();
-  idx.euler_node_ = r.vec_u32();
-  idx.euler_level_ = r.vec_u32();
-  idx.leaf_pos_ = r.vec_u32();
-  idx.dist_by_lca_level_ = r.vec_f64();
-  idx.edge_weight_by_level_ = r.vec_f64();
-  idx.finish_load();
-  return idx;
-}
-
-FrtIndex FrtIndex::load_mapped_from(MappedReader& r) {
-  r.expect_magic(kIndexMagic);
-  FrtIndex idx;
-  idx.levels_ = r.u32();
-  idx.beta_ = r.f64();
-  // The bulk arrays stay in the file image — zero bytes copied; only the
+  // The bulk arrays stay in the image — zero bytes copied; only the
   // derived tables below (sparse RMQ, CSR, leaf maps) allocate.
   using U32Section = ArraySection<std::uint32_t>;
   using F64Section = ArraySection<Weight>;
-  idx.node_level_ = U32Section::mapped(r.view_u32());
-  idx.wdepth_ = F64Section::mapped(r.view_f64());
-  idx.euler_node_ = U32Section::mapped(r.view_u32());
-  idx.euler_level_ = U32Section::mapped(r.view_u32());
-  idx.leaf_pos_ = U32Section::mapped(r.view_u32());
-  idx.dist_by_lca_level_ = F64Section::mapped(r.view_f64());
-  idx.edge_weight_by_level_ = F64Section::mapped(r.view_f64());
-  idx.finish_load();
+  idx.node_level_ = U32Section::view_of(r.view_u32());
+  idx.wdepth_ = F64Section::view_of(r.view_f64());
+  idx.euler_node_ = U32Section::view_of(r.view_u32());
+  idx.euler_level_ = U32Section::view_of(r.view_u32());
+  idx.leaf_pos_ = U32Section::view_of(r.view_u32());
+  idx.dist_by_lca_level_ = F64Section::view_of(r.view_f64());
+  idx.edge_weight_by_level_ = F64Section::view_of(r.view_f64());
+  idx.validate();
+  idx.build_sparse_table();
+  idx.build_structure_maps();
   return idx;
 }
 
 FrtIndex FrtIndex::load(std::istream& is) {
-  BinaryReader r(is);
-  return load_from(r);
+  const ArtefactImage image = ArtefactImage::read(is);
+  ImageReader r(image.bytes(), image.is_mapped());
+  // The parsed sections view `image`, which dies here; the copy owns its
+  // arrays (ArraySection copies deep).
+  const FrtIndex viewing = parse(r);
+  FrtIndex owned(viewing);
+  return owned;
 }
 
 }  // namespace pmte::serve

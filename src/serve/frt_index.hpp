@@ -51,11 +51,11 @@
 // binary format of serialize.hpp (normative layout: docs/FORMAT.md); the
 // sparse table and the CSR/leaf-vertex maps are rebuilt deterministically
 // on load, so save→load→save is byte-identical.  The persisted arrays are
-// ArraySections — owned vectors after build() or a stream load, zero-copy
-// views into a file mapping after load_mapped_from() (only the derived
-// tables are materialised then; the mapping's owner keeps it alive, see
+// ArraySections — owned vectors after build() or a standalone load(),
+// zero-copy views into an ArtefactImage after parse() (only the derived
+// tables are materialised then; the image's owner keeps it alive, see
 // FrtEnsemble).  Queries read through the view either way, so served
-// doubles are bit-identical between the two load paths.
+// doubles are bit-identical however the index was loaded.
 
 #include <cstdint>
 #include <iosfwd>
@@ -87,9 +87,9 @@ class FrtIndex {
   [[nodiscard]] unsigned num_levels() const noexcept { return levels_; }
   [[nodiscard]] double beta() const noexcept { return beta_; }
   [[nodiscard]] bool empty() const noexcept { return node_level_.empty(); }
-  /// Whether the persisted arrays view a file mapping (zero-copy load).
-  [[nodiscard]] bool is_mapped() const noexcept {
-    return node_level_.is_mapped();
+  /// Whether the persisted arrays view a loaded image (zero-copy parse).
+  [[nodiscard]] bool is_view() const noexcept {
+    return node_level_.is_view();
   }
 
   /// Tree distance between the leaves of u and v — O(1), two sparse-table
@@ -180,24 +180,25 @@ class FrtIndex {
   /// wdepth consistency with dist_by_lca_level_).  Throws on violation.
   void validate() const;
 
-  /// Persist / restore through the versioned format.  The writer/reader
-  /// variants share one position-tracking writer across an enclosing
-  /// artefact (FrtEnsemble embeds k index artefacts in one file); the
-  /// stream variants wrap them for standalone files.  `version` exists for
-  /// compatibility fixtures — production saves use the default.
-  void save(std::ostream& os, std::uint32_t version = kFormatVersion) const;
+  /// Persist through the versioned format.  save_into shares one
+  /// position-tracking writer across an enclosing artefact (FrtEnsemble
+  /// embeds k index artefacts in one file); save wraps it for standalone
+  /// files.
+  void save(std::ostream& os) const;
   void save_into(BinaryWriter& w) const;
+  /// The index parser, shared by every load path: the persisted arrays
+  /// become views into the reader's image; only the derived tables
+  /// (sparse RMQ, children CSR, leaf maps) are materialised.  The caller
+  /// owns the image and keeps it alive for the index's lifetime
+  /// (FrtEnsemble holds it).
+  [[nodiscard]] static FrtIndex parse(ImageReader& r);
+  /// Standalone stream load: parse the stream's image, then copy the
+  /// arrays into owned storage (nothing else would keep the image alive).
   [[nodiscard]] static FrtIndex load(std::istream& is);
-  [[nodiscard]] static FrtIndex load_from(BinaryReader& r);
-  /// Zero-copy load: the persisted arrays become views into the reader's
-  /// image; only the derived tables (sparse RMQ, children CSR, leaf maps)
-  /// are materialised.  The caller owns the backing memory and must keep
-  /// it alive for the index's lifetime (FrtEnsemble holds the MappedFile).
-  [[nodiscard]] static FrtIndex load_mapped_from(MappedReader& r);
 
   /// Equality over the persisted state (derived tables excluded — they are
   /// a function of it).  Backs the round-trip tests; sections compare by
-  /// content, so a mapped index equals its by-copy twin.
+  /// content, so a parsed index equals its freshly built twin.
   friend bool operator==(const FrtIndex& a, const FrtIndex& b) {
     return a.levels_ == b.levels_ && a.beta_ == b.beta_ &&
            a.node_level_ == b.node_level_ && a.wdepth_ == b.wdepth_ &&
@@ -212,8 +213,6 @@ class FrtIndex {
   /// range spanned by a and b (the LCA when a, b are leaf positions).
   [[nodiscard]] std::uint32_t lca_pos(std::uint32_t a, std::uint32_t b) const;
 
-  /// Validate + rebuild every derived table (shared load tail).
-  void finish_load();
   /// (Re)derive the sparse table from the Euler arrays.
   void build_sparse_table();
   /// (Re)derive the children CSR and leaf-vertex map from the tour.
@@ -221,8 +220,8 @@ class FrtIndex {
 
   unsigned levels_ = 1;
   double beta_ = 1.0;
-  // Persisted arrays: owned after build()/load(), mapped views after
-  // load_mapped_from() (see ArraySection).
+  // Persisted arrays: owned after build()/load(), image views after
+  // parse() (see ArraySection).
   ArraySection<std::uint32_t> node_level_;   // node → level
   ArraySection<Weight> wdepth_;              // node → root-path weight
   ArraySection<std::uint32_t> euler_node_;   // tour position → node

@@ -1,5 +1,6 @@
 #include "src/serve/serialize.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -64,12 +65,6 @@ void reset_load_path_counters() noexcept {
 
 // --- BinaryWriter ----------------------------------------------------------
 
-BinaryWriter::BinaryWriter(std::ostream& os, std::uint32_t version)
-    : os_(os), version_(version) {
-  PMTE_CHECK(version >= kMinFormatVersion && version <= kFormatVersion,
-             "serve serialisation: writer version out of supported range");
-}
-
 void BinaryWriter::bytes(const void* data, std::size_t n) {
   if (n == 0) return;  // data may be null for an empty array
   os_.write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
@@ -78,7 +73,6 @@ void BinaryWriter::bytes(const void* data, std::size_t n) {
 }
 
 void BinaryWriter::pad_to_section() {
-  if (version_ < 3) return;
   static constexpr char kZeros[kSectionAlign] = {};
   bytes(kZeros, section_pad(pos_));
 }
@@ -86,7 +80,7 @@ void BinaryWriter::pad_to_section() {
 void BinaryWriter::magic(const char (&m)[8]) {
   bytes(m, sizeof(m));
   u32(kEndianProbe);
-  u32(version_);
+  u32(kFormatVersion);
 }
 
 void BinaryWriter::u32(std::uint32_t v) { bytes(&v, sizeof(v)); }
@@ -105,204 +99,110 @@ void BinaryWriter::vec_f64(std::span<const double> v) {
   bytes(v.data(), v.size() * sizeof(double));
 }
 
-// --- BinaryReader ----------------------------------------------------------
+// --- ArtefactImage ---------------------------------------------------------
 
-BinaryReader::BinaryReader(std::istream& is) : is_(is) {
-  // One size probe per load: remember how many bytes lie between here and
-  // the stream end, then track the running position — vec reads validate
-  // their length prefix against (remaining_ - pos_) without any further
-  // tellg/seekg round-trips.
-  const auto cur = is_.tellg();
-  if (cur != std::istream::pos_type(-1)) {
-    is_.seekg(0, std::ios::end);
-    const auto end = is_.tellg();
-    is_.seekg(cur);
-    if (end != std::istream::pos_type(-1) && end >= cur) {
-      remaining_ = static_cast<std::uint64_t>(end - cur);
-      size_known_ = true;
-    }
+ArtefactImage ArtefactImage::read(std::istream& is) {
+  // Slurp to the end in doubling chunks: no tellg/seekg size probe, so a
+  // pipe reads exactly like a file.
+  std::vector<char> raw;
+  std::size_t size = 0;
+  while (is.good()) {
+    raw.resize(std::max<std::size_t>(2 * size, std::size_t{1} << 16));
+    is.read(raw.data() + size, static_cast<std::streamsize>(raw.size() - size));
+    size += static_cast<std::size_t>(is.gcount());
   }
+  PMTE_CHECK(!is.bad(), "serve serialisation: stream read failed");
+  // Copy into a buffer whose base is aligned to kSectionAlign, so the
+  // parser's alignment contract (and the spans it hands out) hold exactly
+  // as on a page-aligned mapping.
+  ArtefactImage img;
+  img.owned_.resize(size + kSectionAlign);
+  // pmte-lint: allow(pointer-hash-order: alignment adjustment of a fresh buffer, no ordering/hash on the value)
+  const auto raw_base = reinterpret_cast<std::uintptr_t>(img.owned_.data());
+  std::byte* base = img.owned_.data() + section_pad(raw_base);
+  if (size > 0) std::memcpy(base, raw.data(), size);
+  img.addr_ = base;
+  img.size_ = size;
+  return img;
 }
 
-void BinaryReader::bytes(void* data, std::size_t n) {
-  if (n == 0) return;  // data may be null for an empty array
-  is_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
-  PMTE_CHECK(static_cast<std::size_t>(is_.gcount()) == n,
-             "serve serialisation: truncated input");
-  pos_ += n;
-}
-
-void BinaryReader::expect_magic(const char (&m)[8]) {
-  char got[8];
-  bytes(got, sizeof(got));
-  PMTE_CHECK(std::memcmp(got, m, sizeof(got)) == 0,
-             "serve serialisation: bad magic (not a serving-layer file, or "
-             "the wrong artefact kind)");
-  PMTE_CHECK(u32() == kEndianProbe,
-             "serve serialisation: endianness mismatch");
-  const std::uint32_t version = u32();
-  PMTE_CHECK(version >= kMinFormatVersion && version <= kFormatVersion,
-             "serve serialisation: unsupported format version");
-  PMTE_CHECK(version_ == 0 || version_ == version,
-             "serve serialisation: artefacts in one file disagree on the "
-             "format version");
-  version_ = version;
-}
-
-std::uint32_t BinaryReader::u32() {
-  std::uint32_t v;
-  bytes(&v, sizeof(v));
-  return v;
-}
-
-std::uint64_t BinaryReader::u64() {
-  std::uint64_t v;
-  bytes(&v, sizeof(v));
-  return v;
-}
-
-double BinaryReader::f64() {
-  double v;
-  bytes(&v, sizeof(v));
-  return v;
-}
-
-void BinaryReader::skip_section_padding() {
-  PMTE_CHECK(version_ != 0,
-             "serve serialisation: array read before any magic");
-  if (version_ < 3) return;
-  char sink[kSectionAlign];
-  bytes(sink, section_pad(pos_));  // content ignored; writers zero it
-}
-
-void BinaryReader::check_capacity(std::uint64_t n, std::size_t elem_size) {
-  if (size_known_) {
-    const std::uint64_t avail = remaining_ - pos_;
-    PMTE_CHECK(n <= avail / elem_size,
-               "serve serialisation: length prefix exceeds remaining input");
-    return;
-  }
-  // Non-seekable stream: fall back to a hard cap (2^28 elements ≈ 2 GiB
-  // of doubles — far above any real index, far below an OOM-killer trip).
-  PMTE_CHECK(n <= (1ULL << 28), "serve serialisation: absurd array length");
-}
-
-std::vector<std::uint32_t> BinaryReader::vec_u32() {
-  const std::uint64_t n = u64();
-  skip_section_padding();
-  check_capacity(n, sizeof(std::uint32_t));
-  std::vector<std::uint32_t> v(n);
-  bytes(v.data(), v.size() * sizeof(std::uint32_t));
-  load_path_counters().bulk_bytes_copied += n * sizeof(std::uint32_t);
-  ++load_path_counters().sections_copied;
-  return v;
-}
-
-std::vector<double> BinaryReader::vec_f64() {
-  const std::uint64_t n = u64();
-  skip_section_padding();
-  check_capacity(n, sizeof(double));
-  std::vector<double> v(n);
-  bytes(v.data(), v.size() * sizeof(double));
-  load_path_counters().bulk_bytes_copied += n * sizeof(double);
-  ++load_path_counters().sections_copied;
-  return v;
-}
-
-// --- MappedFile ------------------------------------------------------------
-
-MappedFile::MappedFile(const std::string& path) {
+ArtefactImage ArtefactImage::map(const std::string& path) {
 #if PMTE_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
-  PMTE_CHECK(fd >= 0, "MappedFile: cannot open " + path);
+  PMTE_CHECK(fd >= 0, "ArtefactImage: cannot open " + path);
   struct stat st{};
   if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
     ::close(fd);
-    PMTE_CHECK(false, "MappedFile: cannot stat (or empty file) " + path);
+    PMTE_CHECK(false, "ArtefactImage: cannot stat (or empty file) " + path);
   }
   const auto size = static_cast<std::size_t>(st.st_size);
   void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);  // the mapping keeps the inode alive
-  PMTE_CHECK(addr != MAP_FAILED, "MappedFile: mmap failed for " + path);
-  addr_ = addr;
-  size_ = size;
+  PMTE_CHECK(addr != MAP_FAILED, "ArtefactImage: mmap failed for " + path);
+  ArtefactImage img;
+  img.addr_ = addr;
+  img.size_ = size;
+  return img;
 #else
-  // No mmap on this platform: read the file into a heap buffer whose base
-  // is aligned to kSectionAlign, so MappedReader's alignment contract (and
-  // the spans handed out) hold identically.  Not zero-copy — the load-path
-  // counters still report sections as mapped because the *sections* are
-  // views; the one-time whole-file read is the platform tax.
+  // No mmap on this platform: the file is read like any other stream.
   std::ifstream in(path, std::ios::binary);
-  PMTE_CHECK(in.good(), "MappedFile: cannot open " + path);
-  in.seekg(0, std::ios::end);
-  const auto end = in.tellg();
-  PMTE_CHECK(end > 0, "MappedFile: cannot stat (or empty file) " + path);
-  const auto size = static_cast<std::size_t>(end);
-  in.seekg(0);
-  fallback_.resize(size + kSectionAlign);
-  // pmte-lint: allow(pointer-hash-order: alignment adjustment of a fresh buffer, no ordering/hash on the value)
-  const auto raw = reinterpret_cast<std::uintptr_t>(fallback_.data());
-  const std::size_t mis = raw % kSectionAlign;
-  auto* base = fallback_.data() + (mis != 0 ? kSectionAlign - mis : 0);
-  in.read(reinterpret_cast<char*>(base), static_cast<std::streamsize>(size));
-  PMTE_CHECK(static_cast<std::size_t>(in.gcount()) == size,
-             "MappedFile: short read of " + path);
-  addr_ = base;
-  size_ = size;
+  PMTE_CHECK(in.good(), "ArtefactImage: cannot open " + path);
+  return read(in);
 #endif
 }
 
-void MappedFile::unmap() noexcept {
+void ArtefactImage::release() noexcept {
 #if PMTE_HAVE_MMAP
-  if (addr_ != nullptr) ::munmap(addr_, size_);
+  if (is_mapped()) ::munmap(addr_, size_);
 #endif
   addr_ = nullptr;
   size_ = 0;
-  fallback_.clear();
+  owned_.clear();
 }
 
-MappedFile::~MappedFile() { unmap(); }
+ArtefactImage::~ArtefactImage() { release(); }
 
-MappedFile::MappedFile(MappedFile&& o) noexcept
-    : addr_(o.addr_), size_(o.size_), fallback_(std::move(o.fallback_)) {
+ArtefactImage::ArtefactImage(ArtefactImage&& o) noexcept
+    : addr_(o.addr_), size_(o.size_), owned_(std::move(o.owned_)) {
   o.addr_ = nullptr;
   o.size_ = 0;
+  o.owned_.clear();
 }
 
-MappedFile& MappedFile::operator=(MappedFile&& o) noexcept {
+ArtefactImage& ArtefactImage::operator=(ArtefactImage&& o) noexcept {
   if (this != &o) {
-    unmap();
+    release();
     addr_ = o.addr_;
     size_ = o.size_;
-    fallback_ = std::move(o.fallback_);
+    owned_ = std::move(o.owned_);
     o.addr_ = nullptr;
     o.size_ = 0;
+    o.owned_.clear();
   }
   return *this;
 }
 
-// --- MappedReader ----------------------------------------------------------
+// --- ImageReader -----------------------------------------------------------
 
-MappedReader::MappedReader(std::span<const std::byte> image)
-    : base_(image.data()), size_(image.size()) {
+ImageReader::ImageReader(std::span<const std::byte> image, bool mapped)
+    : base_(image.data()), size_(image.size()), mapped_(mapped) {
   PMTE_CHECK(base_ != nullptr && size_ > 0,
-             "MappedReader: empty image");
+             "serve serialisation: empty image");
   // The zero-copy views below derive their element alignment from the
-  // base being section-aligned; mmap's page alignment always satisfies
-  // this, a sub-span or hand-built buffer might not.
+  // base being section-aligned; ArtefactImage always satisfies this, a
+  // sub-span or hand-built buffer might not.
   // pmte-lint: allow(pointer-hash-order: alignment probe of a fixed base, no ordering/hash on the value)
   PMTE_CHECK(reinterpret_cast<std::uintptr_t>(base_) % kSectionAlign == 0,
-             "MappedReader: image base is not 64-byte aligned");
+             "serve serialisation: image base is not 64-byte aligned");
 }
 
-void MappedReader::bytes(void* data, std::size_t n) {
+void ImageReader::bytes(void* data, std::size_t n) {
   PMTE_CHECK(n <= size_ - pos_, "serve serialisation: truncated input");
-  if (n == 0) return;
   std::memcpy(data, base_ + pos_, n);
   pos_ += n;
 }
 
-void MappedReader::expect_magic(const char (&m)[8]) {
+void ImageReader::expect_magic(const char (&m)[8]) {
   char got[8];
   bytes(got, sizeof(got));
   PMTE_CHECK(std::memcmp(got, m, sizeof(got)) == 0,
@@ -310,66 +210,59 @@ void MappedReader::expect_magic(const char (&m)[8]) {
              "the wrong artefact kind)");
   PMTE_CHECK(u32() == kEndianProbe,
              "serve serialisation: endianness mismatch");
-  const std::uint32_t version = u32();
-  PMTE_CHECK(version >= 3 && version <= kFormatVersion,
-             "serve serialisation: mapped load requires format v3 "
-             "(re-save with the current writer, or load by stream)");
-  PMTE_CHECK(version_ == 0 || version_ == version,
-             "serve serialisation: artefacts in one file disagree on the "
-             "format version");
-  version_ = version;
+  PMTE_CHECK(u32() == kFormatVersion,
+             "serve serialisation: unsupported format version (v1/v2 "
+             "artefacts are refused; rebuild and re-save them)");
 }
 
-std::uint32_t MappedReader::u32() {
+std::uint32_t ImageReader::u32() {
   std::uint32_t v;
   bytes(&v, sizeof(v));
   return v;
 }
 
-std::uint64_t MappedReader::u64() {
+std::uint64_t ImageReader::u64() {
   std::uint64_t v;
   bytes(&v, sizeof(v));
   return v;
 }
 
-double MappedReader::f64() {
+double ImageReader::f64() {
   double v;
   bytes(&v, sizeof(v));
   return v;
 }
 
-void MappedReader::skip_section_padding() {
-  PMTE_CHECK(version_ != 0,
-             "serve serialisation: array read before any magic");
+const std::byte* ImageReader::section(std::uint64_t n, std::size_t elem_size) {
   const std::size_t pad = section_pad(pos_);
   PMTE_CHECK(pad <= size_ - pos_, "serve serialisation: truncated input");
   pos_ += pad;
+  PMTE_CHECK(n <= (size_ - pos_) / elem_size,
+             "serve serialisation: length prefix exceeds remaining input");
+  const std::byte* p = base_ + pos_;
+  const std::uint64_t payload = n * elem_size;
+  pos_ += static_cast<std::size_t>(payload);
+  auto& counters = load_path_counters();
+  if (mapped_) {
+    ++counters.sections_mapped;
+  } else {
+    ++counters.sections_copied;
+    counters.bulk_bytes_copied += payload;
+  }
+  return p;
 }
 
-std::span<const std::uint32_t> MappedReader::view_u32() {
+std::span<const std::uint32_t> ImageReader::view_u32() {
   const std::uint64_t n = u64();
-  skip_section_padding();
-  PMTE_CHECK(pos_ % kSectionAlign == 0,
-             "serve serialisation: misaligned v3 section");
-  PMTE_CHECK(n <= (size_ - pos_) / sizeof(std::uint32_t),
-             "serve serialisation: length prefix exceeds remaining input");
-  const auto* p = reinterpret_cast<const std::uint32_t*>(base_ + pos_);
-  pos_ += n * sizeof(std::uint32_t);
-  ++load_path_counters().sections_mapped;
-  return {p, static_cast<std::size_t>(n)};
+  return {reinterpret_cast<const std::uint32_t*>(
+              section(n, sizeof(std::uint32_t))),
+          static_cast<std::size_t>(n)};
 }
 
-std::span<const double> MappedReader::view_f64() {
+std::span<const double> ImageReader::view_f64() {
   const std::uint64_t n = u64();
-  skip_section_padding();
-  PMTE_CHECK(pos_ % kSectionAlign == 0,
-             "serve serialisation: misaligned v3 section");
-  PMTE_CHECK(n <= (size_ - pos_) / sizeof(double),
-             "serve serialisation: length prefix exceeds remaining input");
-  const auto* p = reinterpret_cast<const double*>(base_ + pos_);
-  pos_ += n * sizeof(double);
-  ++load_path_counters().sections_mapped;
-  return {p, static_cast<std::size_t>(n)};
+  return {reinterpret_cast<const double*>(section(n, sizeof(double))),
+          static_cast<std::size_t>(n)};
 }
 
 }  // namespace pmte::serve

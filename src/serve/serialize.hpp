@@ -10,13 +10,13 @@
 // mis-reading them.  Bumping kFormatVersion invalidates old files — the
 // reader refuses anything it does not understand rather than guessing.
 //
-// Since v3 every array payload is aligned to a 64-byte file offset (the
-// length prefix is followed by zero padding).  That buys the zero-copy
-// path: MappedFile mmaps an artefact and MappedReader returns spans that
-// point straight into the mapping — cache-line- (and therefore element-)
-// aligned, so FrtIndex can serve off the file image without copying a
-// byte.  v2 files (unpadded) stay readable through the stream reader;
-// the mmap path requires v3.
+// Every array payload is aligned to a 64-byte file offset (the length
+// prefix is followed by zero padding), so one parser serves every load:
+// an ArtefactImage holds the artefact's bytes at a 64-byte-aligned base —
+// an mmap of a file, or an owned buffer read from a stream — and
+// ImageReader returns spans that point straight into it, cache-line- (and
+// therefore element-) aligned.  FrtIndex serves off the image without
+// copying a byte; the image's owner (FrtEnsemble) keeps it alive.
 //
 // The normative byte-level specification (field order, alignment rules,
 // rejection rules, version history) lives in docs/FORMAT.md; keep the two
@@ -35,23 +35,19 @@
 
 namespace pmte::serve {
 
-/// Format version shared by all serving-layer artefacts (index, ensemble).
-/// History (docs/FORMAT.md):
+/// Format version shared by all serving-layer artefacts (index, ensemble),
+/// and the only version the reader accepts.  History (docs/FORMAT.md):
 ///   1 — initial layout (PR 4).
 ///   2 — FrtIndex grew the per-level parent-edge-weight table
 ///       (edge_weight_by_level, appended after dist_by_lca_level) so the
-///       apps' flat tree walks never consult FrtTree.  v1 files are
-///       refused, not migrated.
+///       apps' flat tree walks never consult FrtTree.
 ///   3 — every vec payload is preceded by zero padding to a 64-byte file
-///       offset, enabling the zero-copy mmap load path.  Field order and
-///       values are unchanged; v2 files remain readable (stream path).
+///       offset, so one zero-copy parser serves every load.  v1 and v2
+///       files are refused, not migrated: builds are deterministic in
+///       (graph, seed, options), so rebuild and re-save them.
 inline constexpr std::uint32_t kFormatVersion = 3;
 
-/// Oldest version the stream reader still accepts.  v2 differs from v3
-/// only by the absence of section padding, so one reader serves both.
-inline constexpr std::uint32_t kMinFormatVersion = 2;
-
-/// File-offset alignment of every vec payload since v3.  One cache line,
+/// File-offset alignment of every vec payload.  One cache line,
 /// and a multiple of every element size we serialise — mmap returns
 /// page-aligned bases, so a 64-byte file offset is a 64-byte address.
 inline constexpr std::size_t kSectionAlign = 64;
@@ -82,10 +78,12 @@ inline constexpr char kEnsembleMagic[8] = {'P', 'M', 'T', 'E', 'E', 'N', 'S', '1
     std::uint64_t graph_fingerprint, std::uint64_t tree_count) noexcept;
 
 /// Deterministic accounting of the load path: how many vec-section payload
-/// bytes were memcpy'd into owned storage versus served straight from a
-/// mapping.  A mapped load of the five bulk FrtIndex arrays must report
-/// zero copied bytes — bench_serve emits these counters and the CI gate
-/// pins them (BENCH_serve.json).  Process-wide and NOT synchronised: loads
+/// bytes were copied into process memory versus served straight from a
+/// file mapping.  A section viewing a stream-read image counts as copied
+/// (with its payload bytes — the stream read copied them); a section
+/// viewing an mmap counts as mapped.  A mapped load must report zero
+/// copied bytes — bench_serve emits these counters and the CI gate pins
+/// them (BENCH_serve.json).  Process-wide and NOT synchronised: loads
 /// are single-threaded, reset before measuring.
 struct LoadPathCounters {
   std::uint64_t bulk_bytes_copied = 0;  ///< vec payload bytes copied
@@ -95,12 +93,12 @@ struct LoadPathCounters {
 [[nodiscard]] LoadPathCounters& load_path_counters() noexcept;
 void reset_load_path_counters() noexcept;
 
-/// Owned-or-mapped read-only array.  The serving indices store their
-/// persisted arrays through this: a loaded-by-copy (or freshly built)
-/// section owns a vector; a mapped section views the file image and owns
-/// nothing.  Copying always deep-copies into owned storage (so copies
-/// never dangle when a mapping goes away); moving preserves the view
-/// (std::vector's move keeps the heap buffer alive).  Equality compares
+/// Owned-or-viewed read-only array.  The serving indices store their
+/// persisted arrays through this: a freshly built section owns a vector;
+/// a loaded section views an ArtefactImage and owns nothing.  Copying
+/// always deep-copies into owned storage (so copies never dangle when an
+/// image goes away); moving preserves the view (std::vector's move keeps
+/// the heap buffer alive).  Equality compares
 /// contents, mirroring the vector semantics it replaces.
 template <typename T>
 class ArraySection {
@@ -111,8 +109,8 @@ class ArraySection {
       : own_(std::move(own)), view_(own_) {}
 
   /// A section viewing externally owned memory (the caller keeps the
-  /// backing mapping alive for the section's lifetime).
-  [[nodiscard]] static ArraySection mapped(std::span<const T> view) noexcept {
+  /// backing image alive for the section's lifetime).
+  [[nodiscard]] static ArraySection view_of(std::span<const T> view) noexcept {
     ArraySection s;
     s.view_ = view;
     return s;
@@ -154,8 +152,8 @@ class ArraySection {
   [[nodiscard]] const T* end() const noexcept {
     return view_.data() + view_.size();
   }
-  /// Whether the section views memory it does not own (a file mapping).
-  [[nodiscard]] bool is_mapped() const noexcept {
+  /// Whether the section views memory it does not own (a loaded image).
+  [[nodiscard]] bool is_view() const noexcept {
     return view_.data() != nullptr && view_.data() != own_.data();
   }
 
@@ -174,14 +172,10 @@ class ArraySection {
 
 class BinaryWriter {
  public:
-  /// Writes `version` headers and, for version ≥ 3, section padding.
-  /// Writing an old version is supported only down to kMinFormatVersion
-  /// (compatibility fixtures; production writers use the default).  The
-  /// writer must start at the artefact's first byte: padding is computed
-  /// from the bytes written so far, so artefacts meant for mmap must
-  /// start at file offset 0.
-  explicit BinaryWriter(std::ostream& os,
-                        std::uint32_t version = kFormatVersion);
+  /// The writer must start at the artefact's first byte: padding is
+  /// computed from the bytes written so far, so artefacts meant for mmap
+  /// must start at file offset 0.
+  explicit BinaryWriter(std::ostream& os) : os_(os) {}
 
   void magic(const char (&m)[8]);
   void u32(std::uint32_t v);
@@ -198,69 +192,35 @@ class BinaryWriter {
 
   /// Bytes written since construction (= offset within the artefact).
   [[nodiscard]] std::uint64_t pos() const noexcept { return pos_; }
-  [[nodiscard]] std::uint32_t version() const noexcept { return version_; }
 
  private:
   void bytes(const void* data, std::size_t n);
-  /// Zero-fill up to the next kSectionAlign boundary (version ≥ 3).
+  /// Zero-fill up to the next kSectionAlign boundary.
   void pad_to_section();
   std::ostream& os_;
   std::uint64_t pos_ = 0;
-  std::uint32_t version_;
 };
 
-/// Reader with hard validation: every primitive read PMTE_CHECKs that the
-/// stream still has bytes; magic/probe/version mismatches throw.  The
-/// remaining stream size is probed ONCE at construction (one tellg/seekg
-/// round-trip for the whole load, not one per array) and tracked against a
-/// running position from then on; corrupt length prefixes are rejected
-/// before any allocation.  Accepts versions kMinFormatVersion through
-/// kFormatVersion; all magics within one artefact must agree on the
-/// version.  Like the writer, construct it at the artefact's first byte.
-class BinaryReader {
+/// The bytes of one artefact at a kSectionAlign-aligned base: either a
+/// read-only file mapping (POSIX mmap) or an owned heap buffer read from a
+/// stream.  The base address stays valid across moves — spans into the
+/// image survive as long as some ArtefactImage owns it.
+class ArtefactImage {
  public:
-  explicit BinaryReader(std::istream& is);
-
-  void expect_magic(const char (&m)[8]);
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] double f64();
-  [[nodiscard]] std::vector<std::uint32_t> vec_u32();
-  [[nodiscard]] std::vector<double> vec_f64();
-
-  /// Format version of the artefact (0 until the first expect_magic).
-  [[nodiscard]] std::uint32_t version() const noexcept { return version_; }
-
- private:
-  void bytes(void* data, std::size_t n);
-  /// Consume padding up to the next kSectionAlign boundary (version ≥ 3).
-  void skip_section_padding();
-  /// Reject a length prefix that cannot fit in the remaining stream
-  /// *before* allocating for it (a corrupt length must fail like a
-  /// truncation, not as a multi-gigabyte bad_alloc).
-  void check_capacity(std::uint64_t n, std::size_t elem_size);
-  std::istream& is_;
-  std::uint64_t pos_ = 0;        ///< bytes consumed since construction
-  std::uint64_t remaining_ = 0;  ///< bytes from construction to stream end
-  bool size_known_ = false;      ///< false on non-seekable streams
-  std::uint32_t version_ = 0;    ///< pinned by the first expect_magic
-};
-
-/// RAII read-only file mapping (POSIX mmap; on platforms without it the
-/// file is read into an aligned heap buffer instead, preserving the API at
-/// the cost of the copy).  The mapped address stays valid across moves —
-/// spans into the mapping survive as long as some MappedFile owns it.
-class MappedFile {
- public:
-  MappedFile() = default;
+  ArtefactImage() = default;
   /// Map `path` read-only; throws (PMTE_CHECK) on open/map failure or an
-  /// empty file.
-  explicit MappedFile(const std::string& path);
-  ~MappedFile();
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-  MappedFile(MappedFile&& o) noexcept;
-  MappedFile& operator=(MappedFile&& o) noexcept;
+  /// empty file.  Platforms without mmap read the file like a stream
+  /// (is_mapped() is false then, and the load path counts as copied).
+  [[nodiscard]] static ArtefactImage map(const std::string& path);
+  /// Read `is` from its current position to its end into an owned
+  /// aligned buffer.  Needs no size probe, so non-seekable streams (pipes)
+  /// load the same way; the stream is left at EOF.
+  [[nodiscard]] static ArtefactImage read(std::istream& is);
+  ~ArtefactImage();
+  ArtefactImage(const ArtefactImage&) = delete;
+  ArtefactImage& operator=(const ArtefactImage&) = delete;
+  ArtefactImage(ArtefactImage&& o) noexcept;
+  ArtefactImage& operator=(ArtefactImage&& o) noexcept;
 
   [[nodiscard]] const std::byte* data() const noexcept {
     return static_cast<const std::byte*>(addr_);
@@ -269,24 +229,30 @@ class MappedFile {
   [[nodiscard]] std::span<const std::byte> bytes() const noexcept {
     return {data(), size_};
   }
+  /// Whether the bytes are a file mapping (as opposed to an owned copy).
+  [[nodiscard]] bool is_mapped() const noexcept {
+    return addr_ != nullptr && owned_.empty();
+  }
 
  private:
-  void unmap() noexcept;
+  void release() noexcept;
   void* addr_ = nullptr;
   std::size_t size_ = 0;
-  std::vector<std::byte> fallback_;  ///< non-POSIX: owned aligned copy
+  std::vector<std::byte> owned_;  ///< stream-read bytes (+ alignment slack)
 };
 
-/// Zero-copy reader over a mapped (or in-memory) artefact image.  Scalar
-/// reads memcpy a few bytes; view_u32/view_f64 return spans pointing
-/// straight into the buffer and copy nothing.  Requires format v3 — only
-/// v3 guarantees the 64-byte payload alignment the views rely on — and a
-/// 64-byte-aligned base (mmap's page alignment always satisfies this).
-/// The caller keeps the backing memory alive for as long as the returned
-/// views are in use.
-class MappedReader {
+/// The one artefact parser.  Scalar reads memcpy a few bytes;
+/// view_u32/view_f64 return spans pointing straight into the image and
+/// copy nothing.  Accepts exactly kFormatVersion — only its 64-byte
+/// payload alignment lets a span view every section — and requires a
+/// 64-byte-aligned base (ArtefactImage always provides one).  Every read
+/// is bounds-checked against the image, so a corrupt length prefix fails
+/// like a truncation, before anything is allocated for it.  `mapped`
+/// picks the load-path counter the sections feed (see LoadPathCounters).
+/// The caller keeps the image alive for as long as the views are in use.
+class ImageReader {
  public:
-  explicit MappedReader(std::span<const std::byte> image);
+  ImageReader(std::span<const std::byte> image, bool mapped);
 
   void expect_magic(const char (&m)[8]);
   [[nodiscard]] std::uint32_t u32();
@@ -295,16 +261,17 @@ class MappedReader {
   [[nodiscard]] std::span<const std::uint32_t> view_u32();
   [[nodiscard]] std::span<const double> view_f64();
 
-  [[nodiscard]] std::uint32_t version() const noexcept { return version_; }
   [[nodiscard]] std::uint64_t pos() const noexcept { return pos_; }
 
  private:
   void bytes(void* data, std::size_t n);
-  void skip_section_padding();
+  /// Skip the padding before a payload and bounds-check the payload;
+  /// returns its first byte.
+  const std::byte* section(std::uint64_t n, std::size_t elem_size);
   const std::byte* base_ = nullptr;
   std::size_t size_ = 0;
   std::size_t pos_ = 0;
-  std::uint32_t version_ = 0;
+  bool mapped_ = false;
 };
 
 }  // namespace pmte::serve

@@ -154,6 +154,20 @@ void Server::serve(std::span<const TenantQuery> batch,
   {
     PMTE_OBS_SPAN("server.route", static_cast<std::int64_t>(batch.size()),
                   "batch");
+    // Reject the whole batch before any tenant state moves: an exception
+    // thrown from the execute phase's parallel region would terminate the
+    // process instead of reaching the caller.
+    std::vector<Vertex> vertices(tenants_.size());
+    for (std::size_t t = 0; t < tenants_.size(); ++t) {
+      vertices[t] = tenants_[t].ensemble->num_vertices();
+    }
+    for (const TenantQuery& q : batch) {
+      PMTE_CHECK(q.tenant < vertices.size(),
+                 "Server::serve: tenant id out of range");
+      PMTE_CHECK(q.u < vertices[q.tenant] && q.v < vertices[q.tenant],
+                 "Server::serve: vertex out of range for the tenant's "
+                 "ensemble");
+    }
     if (router_.num_tenants() != tenants_.size()) {
       router_.reset(static_cast<std::uint32_t>(tenants_.size()));
     }

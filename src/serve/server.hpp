@@ -18,7 +18,11 @@
 //                 epoch serves — the flip itself is a pointer assignment.
 //   Route       — a serial classification pass (TenantRouter) splits the
 //                 interleaved batch into per-tenant shards, preserving
-//                 each tenant's stream order.
+//                 each tenant's stream order.  Every query is first
+//                 checked against its tenant's ensemble, so a bad vertex
+//                 throws here — serially, before any cache probe or
+//                 parallel region — with the same error at any thread
+//                 count, and leaves every tenant's state untouched.
 //   Execute     — shards run in parallel via parallel_for_balanced (cost =
 //                 shard pairs × that tenant's tree count); inside a shard,
 //                 the tenant's FrtEnsemble::query_batch runs serially (it
@@ -60,7 +64,7 @@
 namespace pmte::serve {
 
 /// Fingerprint-keyed store of loaded ensembles (the key is
-/// FrtEnsemble::registry_fingerprint — FNV-1a over the serialized v2
+/// FrtEnsemble::registry_fingerprint — FNV-1a over the serialized
 /// header + master seed + graph fingerprint + tree count, see
 /// serialize.hpp).  Entries are immutable and shared: tenants hold
 /// shared_ptr references, so erasing an entry retires it from *new*

@@ -189,13 +189,43 @@ SequenceResult replay_sequence(const Graph& g, std::uint64_t seed,
 /// fresh oracle run with the maintainer's own beta/order; the 2- and
 /// 8-thread replays must then reproduce the 1-thread snapshots, counters,
 /// and served doubles bit-for-bit.
-TEST(Dynamic, RebuildDifferentialOverCorpus) {
+// The rebuild differential covers 200 update sequences (50 corpus graphs
+// × 4 seeds).  It runs as PMTE_DYNAMIC_SHARDS value-parameterised shards —
+// sequence i belongs to shard i mod PMTE_DYNAMIC_SHARDS — and
+// tests/CMakeLists.txt, which defines the macro, registers each shard as
+// its own CTest entry so the harness spreads over `ctest -j`.
+constexpr std::size_t kCorpusGraphs = 50;
+constexpr std::size_t kSeedsPerGraph = 4;
+constexpr std::size_t kSequences = kCorpusGraphs * kSeedsPerGraph;
+constexpr std::size_t kShards = PMTE_DYNAMIC_SHARDS;
+
+/// Sequences shard `shard` replays: the i < kSequences with
+/// i mod kShards == shard.
+constexpr std::size_t shard_sequences(std::size_t shard) {
+  return (kSequences - shard + kShards - 1) / kShards;
+}
+
+TEST(Dynamic, RebuildDifferentialShardsCoverEverySequence) {
+  std::size_t total = 0;
+  for (std::size_t shard = 0; shard < kShards; ++shard) {
+    total += shard_sequences(shard);
+  }
+  EXPECT_EQ(total, 200u);
+}
+
+class RebuildDifferential : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RebuildDifferential, OverCorpus) {
+  const std::size_t shard = GetParam();
   ThreadGuard guard;
   const auto opts = dyn_options(2);
-  const auto corpus = test::serve_graph_corpus(50, 0xD15C0);
+  const auto corpus = test::serve_graph_corpus(kCorpusGraphs, 0xD15C0);
+  std::size_t index = 0;
   std::size_t sequences = 0;
   for (const auto& cse : corpus) {
-    for (const std::uint64_t seed : test::test_seeds(4, cse.seed)) {
+    for (const std::uint64_t seed :
+         test::test_seeds(kSeedsPerGraph, cse.seed)) {
+      if (index++ % kShards != shard) continue;
       ++sequences;
       Rng rng(split_seed(seed, 9001));
       const auto seq = make_sequence(cse.graph, 2, rng);
@@ -273,8 +303,11 @@ TEST(Dynamic, RebuildDifferentialOverCorpus) {
       set_num_threads(1);
     }
   }
-  EXPECT_EQ(sequences, 200u);
+  EXPECT_EQ(sequences, shard_sequences(shard));
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, RebuildDifferential,
+                         ::testing::Range<std::size_t>(0, kShards));
 
 /// With zero updates the maintained state must be indistinguishable from
 /// the static build: same indices, same registry fingerprint (so

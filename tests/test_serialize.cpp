@@ -1,20 +1,23 @@
-// Format v3 + zero-copy load path: section alignment invariants, v2
-// compatibility, loader hostility (truncation, bad magic, endianness,
-// unknown versions, corrupt lengths, shaved padding, misaligned bases) on
-// BOTH the stream and the mmap path, a seeded bit-flip/truncation fuzz
-// sweep pinning "reject or load, never crash", and a corpus-wide
-// differential that
-// pins mapped and copied loads to bit-identical served doubles and
-// logical counters at several thread counts.  The registry/swap lifetime
-// test leans on ASan: any read of a retired mapping is a use-after-free.
+// Format v3 + the one zero-copy parser: section alignment invariants,
+// retired v2 reads, non-seekable streams, loader hostility (truncation,
+// bad magic, endianness, unknown versions, corrupt lengths, shaved
+// padding, misaligned bases) on BOTH entry points — load(istream) and
+// load_mapped(path) — a seeded bit-flip/truncation fuzz sweep pinning
+// "both reject or both load the same ensemble, never crash", and a
+// corpus-wide differential that pins mapped and stream loads to
+// bit-identical served doubles and logical counters at several thread
+// counts.  The registry/swap lifetime tests lean on ASan: any read of a
+// retired image is a use-after-free.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,11 +41,10 @@ serve::EnsembleOptions tiny_options(std::size_t trees) {
   return opts;
 }
 
-/// Serialized bytes of an ensemble at a given format version.
-std::string save_bytes(const serve::FrtEnsemble& e,
-                       std::uint32_t version = serve::kFormatVersion) {
+/// Serialized bytes of an ensemble.
+std::string save_bytes(const serve::FrtEnsemble& e) {
   std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  e.save(buf, version);
+  e.save(buf);
   return buf.str();
 }
 
@@ -80,6 +82,44 @@ void expect_rejected_both(const std::string& bytes, const std::string& why) {
       << why;
 }
 
+/// The std::logic_error message `load` throws ("" if it does not throw).
+template <typename Load>
+std::string rejection_message(Load load) {
+  try {
+    (void)load();
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// A streambuf that cannot seek (tellg/seekg fail, as on a pipe) and
+/// hands out its bytes a few at a time.
+class NonSeekableBuf : public std::streambuf {
+ public:
+  explicit NonSeekableBuf(std::string bytes) : bytes_(std::move(bytes)) {}
+
+ protected:
+  int_type underflow() override {
+    if (next_ >= bytes_.size()) return traits_type::eof();
+    const std::size_t n = std::min<std::size_t>(7, bytes_.size() - next_);
+    char* p = bytes_.data() + next_;
+    setg(p, p, p + n);
+    next_ += n;
+    return traits_type::to_int_type(*p);
+  }
+  pos_type seekoff(off_type, std::ios::seekdir, std::ios::openmode) override {
+    return pos_type(off_type(-1));
+  }
+  pos_type seekpos(pos_type, std::ios::openmode) override {
+    return pos_type(off_type(-1));
+  }
+
+ private:
+  std::string bytes_;
+  std::size_t next_ = 0;
+};
+
 class ThreadGuard {
  public:
   ThreadGuard() : saved_(num_threads()) {}
@@ -95,9 +135,10 @@ std::size_t pad64(std::size_t pos) {
 }
 
 TEST(Serialize, PrimitivesAndEmptyArraysRoundTrip) {
-  // The writer/reader primitives, including the n == 0 edge: an empty
-  // array's data() may be null, and neither side may touch it (the v3
-  // padding is still emitted, keeping the layout walkable).
+  // The writer/reader primitives through the one reader, including the
+  // n == 0 edge: an empty array's data() may be null, and the writer may
+  // not touch it (the padding is still emitted, keeping the layout
+  // walkable).  A stream-read image feeds the copied counters.
   std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
   serve::BinaryWriter w(buf);
   w.magic(serve::kIndexMagic);
@@ -108,15 +149,28 @@ TEST(Serialize, PrimitivesAndEmptyArraysRoundTrip) {
   w.vec_f64({1.5, -2.25});
   w.vec_u32({3, 2, 1});
 
-  serve::BinaryReader r(buf);
+  const auto image = serve::ArtefactImage::read(buf);
+  EXPECT_FALSE(image.is_mapped());
+  EXPECT_EQ(image.size(), w.pos());
+  serve::reset_load_path_counters();
+  serve::ImageReader r(image.bytes(), image.is_mapped());
   r.expect_magic(serve::kIndexMagic);
-  EXPECT_EQ(r.version(), serve::kFormatVersion);
   EXPECT_EQ(r.u32(), 7u);
   EXPECT_EQ(r.u64(), 0xfeedfacecafebeefULL);
   EXPECT_EQ(r.f64(), 2.5);
-  EXPECT_TRUE(r.vec_u32().empty());
-  EXPECT_EQ(r.vec_f64(), (std::vector<double>{1.5, -2.25}));
-  EXPECT_EQ(r.vec_u32(), (std::vector<std::uint32_t>{3, 2, 1}));
+  EXPECT_TRUE(r.view_u32().empty());
+  const auto f = r.view_f64();
+  EXPECT_EQ(std::vector<double>(f.begin(), f.end()),
+            (std::vector<double>{1.5, -2.25}));
+  const auto u = r.view_u32();
+  EXPECT_EQ(std::vector<std::uint32_t>(u.begin(), u.end()),
+            (std::vector<std::uint32_t>{3, 2, 1}));
+  EXPECT_EQ(r.pos(), image.size()) << "the reader must consume the image";
+  EXPECT_THROW((void)r.u32(), std::logic_error) << "read past the end";
+  const auto counters = serve::load_path_counters();
+  EXPECT_EQ(counters.sections_copied, 3u);
+  EXPECT_EQ(counters.bulk_bytes_copied, 2u * 8u + 3u * 4u);
+  EXPECT_EQ(counters.sections_mapped, 0u);
 }
 
 TEST(Serialize, V3PayloadsSitAt64ByteOffsetsWithZeroPadding) {
@@ -154,25 +208,76 @@ TEST(Serialize, V3PayloadsSitAt64ByteOffsetsWithZeroPadding) {
   EXPECT_EQ(pos, bytes.size()) << "layout walk must consume the artefact";
 }
 
-TEST(Serialize, V2ArtefactsStayLoadableAndEquivalent) {
-  // The previous on-disk generation (unpadded) loads through the stream
-  // reader and yields the exact same ensemble; the mmap path refuses it
-  // (only v3 guarantees the alignment the views need).
+/// Rewrite a v3 ensemble artefact as its v2 twin: the same fields with
+/// every section pad removed and every header's version word set to 2
+/// (the layout the retired v2 writer produced).
+std::string as_v2(const std::string& v3) {
+  const auto header = [&](std::size_t at) {
+    std::string h = v3.substr(at, 16);
+    const std::uint32_t two = 2;
+    std::memcpy(h.data() + 12, &two, sizeof(two));
+    return h;
+  };
+  std::string v2 = header(0) + v3.substr(16, 24);
+  std::uint64_t trees = 0;
+  std::memcpy(&trees, v3.data() + 32, sizeof(trees));
+  std::size_t pos = 40;
+  const std::size_t elem[7] = {4, 8, 4, 4, 4, 8, 8};
+  for (std::uint64_t t = 0; t < trees; ++t) {
+    v2 += header(pos) + v3.substr(pos + 16, 12);  // + levels + beta
+    pos += 28;
+    for (const std::size_t es : elem) {
+      std::uint64_t len = 0;
+      std::memcpy(&len, v3.data() + pos, sizeof(len));
+      v2 += v3.substr(pos, 8);
+      pos += 8 + pad64(pos + 8);
+      v2 += v3.substr(pos, static_cast<std::size_t>(len) * es);
+      pos += static_cast<std::size_t>(len) * es;
+    }
+  }
+  return v2;
+}
+
+TEST(Serialize, V2ImagesAreRejectedWithTheVersionError) {
+  // v2 reads are retired (docs/FORMAT.md, version history): the unpadded
+  // layout cannot be viewed in place, so both entry points refuse it
+  // with the version error instead of misparsing it.
   const auto g = test::support_graph("geometric", 40, 53);
   const auto e = serve::FrtEnsemble::build(g, 53, tiny_options(3));
-  const std::string v2 = save_bytes(e, 2);
   const std::string v3 = save_bytes(e);
+  const std::string v2 = as_v2(v3);
   EXPECT_LT(v2.size(), v3.size()) << "v2 must be the unpadded layout";
 
-  const auto from_v2 = load_stream(v2);
-  const auto from_v3 = load_stream(v3);
-  EXPECT_TRUE(from_v2 == e);
-  EXPECT_TRUE(from_v3 == e);
-  EXPECT_EQ(from_v2.registry_fingerprint(), e.registry_fingerprint());
-
   const TempFile f("test_serialize_v2.tmp", v2);
-  EXPECT_THROW((void)serve::FrtEnsemble::load_mapped(f.path()),
-               std::logic_error);
+  const std::string via_stream =
+      rejection_message([&] { return load_stream(v2); });
+  const std::string via_mapped = rejection_message(
+      [&] { return serve::FrtEnsemble::load_mapped(f.path()); });
+  EXPECT_NE(via_stream.find("unsupported format version"), std::string::npos)
+      << via_stream;
+  EXPECT_EQ(via_mapped, via_stream);
+}
+
+TEST(Serialize, NonSeekableStreamLoads) {
+  // load(istream) needs no size probe: a stream that cannot seek and
+  // delivers a few bytes per underflow loads the same ensemble, and a
+  // truncated one is rejected the same way as from a seekable stream.
+  const auto g = test::support_graph("gnm", 40, 54);
+  const auto e = serve::FrtEnsemble::build(g, 54, tiny_options(2));
+  const std::string good = save_bytes(e);
+
+  NonSeekableBuf sb(good);
+  std::istream in(&sb);
+  ASSERT_EQ(in.tellg(), std::istream::pos_type(-1)) << "must not seek";
+  const auto loaded = serve::FrtEnsemble::load(in);
+  EXPECT_TRUE(loaded == e);
+  EXPECT_FALSE(loaded.is_mapped());
+
+  const std::string cut = good.substr(0, good.size() - 1);
+  NonSeekableBuf cut_sb(cut);
+  std::istream cut_in(&cut_sb);
+  EXPECT_EQ(rejection_message([&] { return serve::FrtEnsemble::load(cut_in); }),
+            rejection_message([&] { return load_stream(cut); }));
 }
 
 TEST(Serialize, HostileImagesAreRejectedOnBothPaths) {
@@ -202,7 +307,8 @@ TEST(Serialize, HostileImagesAreRejectedOnBothPaths) {
   std::swap(bad[9], bad[10]);
   expect_rejected_both(bad, "foreign endianness");
 
-  // Versions outside [kMinFormatVersion, kFormatVersion].
+  // Versions other than kFormatVersion (v2: see
+  // V2ImagesAreRejectedWithTheVersionError).
   for (const std::uint32_t v : {std::uint32_t{1}, std::uint32_t{4}}) {
     bad = good;
     std::memcpy(bad.data() + 12, &v, sizeof(v));
@@ -227,11 +333,11 @@ TEST(Serialize, HostileImagesAreRejectedOnBothPaths) {
 
 TEST(Serialize, RandomizedHostileImageSweep) {
   // Seeded fuzz over a valid v3 artefact: single-bit flips at random
-  // offsets plus random truncations.  The contract on both readers is
-  // "reject (std::logic_error) or load" — never crash, never any other
-  // exception type.  A flip that lands in bulk payload (doubles carry no
-  // checksum) may load on both paths; then the two loads must agree, so a
-  // mutant can never split the stream and mmap views of one image.
+  // offsets plus random truncations.  The contract on both entry points
+  // is "reject (std::logic_error) or load" — never crash, never any other
+  // exception type — and, since both parse the same image with the same
+  // parser, the same outcome: both reject, or both load equal ensembles
+  // (a flip in bulk payload may load — doubles carry no checksum).
   const auto g = test::support_graph("geometric", 48, 61);
   const auto e = serve::FrtEnsemble::build(g, 61, tiny_options(2));
   const std::string good = save_bytes(e);
@@ -276,7 +382,8 @@ TEST(Serialize, RandomizedHostileImageSweep) {
     const auto from_stream = try_stream(bad);
     const TempFile f("test_serialize_fuzz.tmp", bad);
     const auto from_mapped = try_mapped(f.path());
-    if (from_stream.has_value() && from_mapped.has_value()) {
+    ASSERT_EQ(from_stream.has_value(), from_mapped.has_value()) << what;
+    if (from_stream.has_value()) {
       EXPECT_TRUE(*from_stream == *from_mapped) << what;
       ++loaded;
     } else {
@@ -289,24 +396,25 @@ TEST(Serialize, RandomizedHostileImageSweep) {
   EXPECT_GT(loaded, std::size_t{0});
 }
 
-TEST(Serialize, MappedReaderRequiresAlignedBase) {
+TEST(Serialize, ImageReaderRequiresAlignedBase) {
   const auto g = test::support_graph("gnm", 32, 59);
   const auto e = serve::FrtEnsemble::build(g, 59, tiny_options(2));
   const TempFile f("test_serialize_align.tmp", save_bytes(e));
-  const serve::MappedFile file(f.path());
+  const auto file = serve::ArtefactImage::map(f.path());
+  EXPECT_TRUE(file.is_mapped());
   // A misaligned base violates the constructor contract outright.
-  EXPECT_THROW(serve::MappedReader r(file.bytes().subspan(1)),
+  EXPECT_THROW(serve::ImageReader r(file.bytes().subspan(1), true),
                std::logic_error);
   // An aligned interior base is structurally valid but is not an
   // artefact start — the magic check fires.
   ASSERT_GT(file.size(), std::size_t{128});
-  serve::MappedReader interior(file.bytes().subspan(64));
+  serve::ImageReader interior(file.bytes().subspan(64), true);
   EXPECT_THROW(interior.expect_magic(serve::kEnsembleMagic),
                std::logic_error);
 }
 
 TEST(Serialize, MappedAndCopiedLoadsAgreeAcrossCorpusAndThreads) {
-  // The tentpole differential: over a 50-graph corpus, the mmap load must
+  // Over a 50-graph corpus, the mmap load must
   // (a) copy zero bulk payload bytes, (b) compare equal to the stream
   // load, and (c) serve bit-identical doubles with identical logical
   // counters at 1/2/8 threads.
@@ -336,8 +444,10 @@ TEST(Serialize, MappedAndCopiedLoadsAgreeAcrossCorpusAndThreads) {
 
     EXPECT_TRUE(mapped.is_mapped()) << c.name;
     EXPECT_GT(mapped.mapped_bytes(), 0u) << c.name;
-    EXPECT_TRUE(mapped.index(0).is_mapped()) << c.name;
+    EXPECT_TRUE(mapped.index(0).is_view()) << c.name;
     EXPECT_FALSE(copied.is_mapped()) << c.name;
+    EXPECT_EQ(copied.mapped_bytes(), 0u) << c.name;
+    EXPECT_TRUE(copied.index(0).is_view()) << c.name;
     EXPECT_TRUE(mapped == copied) << c.name;
     EXPECT_TRUE(mapped == built) << c.name;
     EXPECT_EQ(mapped.registry_fingerprint(), built.registry_fingerprint())
@@ -423,6 +533,54 @@ TEST(Serialize, MappedEnsembleSurvivesRegistrySwapAndFileUnlink) {
   ASSERT_EQ(out_new_epoch.size(), expect_new.size());
   EXPECT_EQ(std::memcmp(out_new_epoch.data(), expect_new.data(),
                         expect_new.size() * sizeof(Weight)),
+            0);
+}
+
+TEST(Serialize, StreamLoadedEnsembleOutlivesStreamAndRetirement) {
+  // Lifetime contract under ASan for the stream entry point: the loaded
+  // ensemble views its own image, never the stream — it must keep serving
+  // after the source stream is destroyed and after its registry entry
+  // retires, for as long as any reference is held.
+  const auto g = test::support_graph("gnm", 64, 63);
+  const auto built = serve::FrtEnsemble::build(g, 63, tiny_options(2));
+  const auto replacement =
+      serve::FrtEnsemble::build(g, 64, tiny_options(2));
+
+  serve::Server server;
+  std::uint64_t fp_streamed = 0;
+  {
+    std::stringstream src(save_bytes(built),
+                          std::ios::in | std::ios::binary);
+    fp_streamed = server.load(serve::FrtEnsemble::load(src));
+  }  // source stream destroyed here
+  const auto held = server.registry().find(fp_streamed);
+  ASSERT_NE(held, nullptr);
+  EXPECT_FALSE(held->is_mapped());
+  EXPECT_TRUE(held->index(0).is_view());
+
+  const std::uint64_t fp_new = server.load(replacement);
+  serve::TenantConfig cfg;
+  cfg.ensemble = fp_streamed;
+  const auto t0 = server.add_tenant(cfg);
+  const auto specs = std::vector<serve::TenantStreamSpec>{
+      {serve::WorkloadKind::uniform, {}}};
+  auto stream = serve::make_multi_tenant_workload(g, specs, 63);
+  std::vector<Weight> out_streamed_epoch, out_new_epoch;
+  server.serve(stream, out_streamed_epoch);
+
+  server.stage_swap(t0, fp_new);
+  server.serve(stream, out_new_epoch);
+  EXPECT_FALSE(server.registry().contains(fp_streamed));
+  EXPECT_EQ(server.epochs_retired(), 1u);
+
+  // The held reference still serves the retired epoch from its image.
+  std::vector<std::pair<Vertex, Vertex>> pairs;
+  for (const auto& q : stream) pairs.emplace_back(q.u, q.v);
+  std::vector<Weight> out_held;
+  (void)held->query_batch(pairs, serve::AggregatePolicy::min, out_held);
+  ASSERT_EQ(out_held.size(), out_streamed_epoch.size());
+  EXPECT_EQ(std::memcmp(out_held.data(), out_streamed_epoch.data(),
+                        out_held.size() * sizeof(Weight)),
             0);
 }
 

@@ -146,6 +146,8 @@ TEST(FrtIndex, SaveLoadRoundTripIsExact) {
     const std::string bytes = buf.str();
     const auto loaded = serve::FrtIndex::load(buf);
     EXPECT_TRUE(loaded == idx) << c.name;
+    // A standalone load owns its arrays (its stream image is gone).
+    EXPECT_FALSE(loaded.is_view()) << c.name;
     // Re-saving the loaded index reproduces the bytes exactly.
     std::stringstream buf2(std::ios::in | std::ios::out | std::ios::binary);
     loaded.save(buf2);
@@ -382,11 +384,11 @@ TEST(FrtEnsemble, ReproducibleAcrossBuildParallelism) {
   const auto corpus = test::serve_graph_corpus(3, 914);
   const int saved_threads = num_threads();
   for (const auto& c : corpus) {
-    auto opts = small_ensemble_options(4);
-    opts.parallel_build = false;
+    const auto opts = small_ensemble_options(4);
+    // One thread: parallel_for runs the plain serial loop over the trees.
+    set_num_threads(1);
     const auto serial = serve::FrtEnsemble::build(c.graph, c.seed, opts);
-    opts.parallel_build = true;
-    for (const int threads : {1, 2, 8}) {
+    for (const int threads : {2, 4, 8}) {
       set_num_threads(threads);
       const auto parallel = serve::FrtEnsemble::build(c.graph, c.seed, opts);
       EXPECT_TRUE(parallel == serial)

@@ -13,7 +13,10 @@
 
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -55,6 +58,28 @@ serve::EnsembleOptions ensemble_options() {
                << "first bit difference at index " << i << ": " << a[i]
                << " vs " << b[i];
       }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Field-by-field equality of two tenants' cumulative counters.
+::testing::AssertionResult same_counters(const serve::TenantCounters& a,
+                                         const serve::TenantCounters& b) {
+  const std::uint64_t fa[] = {a.batches,          a.pairs,
+                              a.tree_lookups,     a.lca_probes,
+                              a.cache_hits,       a.cache_misses,
+                              a.cache_admissions, a.cache_conflicts,
+                              a.epoch,            a.result_hash64};
+  const std::uint64_t fb[] = {b.batches,          b.pairs,
+                              b.tree_lookups,     b.lca_probes,
+                              b.cache_hits,       b.cache_misses,
+                              b.cache_admissions, b.cache_conflicts,
+                              b.epoch,            b.result_hash64};
+  for (std::size_t i = 0; i < std::size(fa); ++i) {
+    if (fa[i] != fb[i]) {
+      return ::testing::AssertionFailure()
+             << "counter field " << i << ": " << fa[i] << " vs " << fb[i];
     }
   }
   return ::testing::AssertionSuccess();
@@ -260,20 +285,8 @@ TEST(Server, ScenarioBitIdenticalAcrossThreadCounts) {
     EXPECT_TRUE(bits_equal(reference.out, r.out)) << threads << " threads";
     ASSERT_EQ(r.counters.size(), reference.counters.size());
     for (std::size_t t = 0; t < kTenants; ++t) {
-      const auto& a = reference.counters[t];
-      const auto& b = r.counters[t];
-      EXPECT_EQ(a.batches, b.batches) << "tenant " << t << ", " << threads;
-      EXPECT_EQ(a.pairs, b.pairs) << t << ", " << threads;
-      EXPECT_EQ(a.tree_lookups, b.tree_lookups) << t << ", " << threads;
-      EXPECT_EQ(a.lca_probes, b.lca_probes) << t << ", " << threads;
-      EXPECT_EQ(a.cache_hits, b.cache_hits) << t << ", " << threads;
-      EXPECT_EQ(a.cache_misses, b.cache_misses) << t << ", " << threads;
-      EXPECT_EQ(a.cache_admissions, b.cache_admissions)
-          << t << ", " << threads;
-      EXPECT_EQ(a.cache_conflicts, b.cache_conflicts)
-          << t << ", " << threads;
-      EXPECT_EQ(a.epoch, b.epoch) << t << ", " << threads;
-      EXPECT_EQ(a.result_hash64, b.result_hash64) << t << ", " << threads;
+      EXPECT_TRUE(same_counters(reference.counters[t], r.counters[t]))
+          << "tenant " << t << ", " << threads << " threads";
     }
     EXPECT_EQ(r.registry_size, reference.registry_size);
     EXPECT_EQ(r.retired, reference.retired);
@@ -281,6 +294,67 @@ TEST(Server, ScenarioBitIdenticalAcrossThreadCounts) {
   // The swap actually happened for tenant 0 only.
   EXPECT_EQ(reference.counters[0].epoch, 1u);
   EXPECT_EQ(reference.counters[1].epoch, 0u);
+}
+
+TEST(Server, OutOfRangeVertexFailsTheBatchAlikeAtAnyThreadCount) {
+  // One tenant's out-of-range vertex must raise the same catchable error
+  // at every thread count — checked serially while routing, never thrown
+  // from inside the parallel shard region (which would terminate the
+  // process) — and leave every tenant's state as if the batch never came.
+  const auto g = test_graph();
+  const auto e = serve::FrtEnsemble::build(g, 99, ensemble_options());
+  const auto setup = [&](serve::Server& server) {
+    serve::TenantConfig cfg;
+    cfg.ensemble = server.load(e);
+    cfg.cache_capacity = 256;
+    server.add_tenant(cfg);
+    cfg.policy = serve::AggregatePolicy::median;
+    server.add_tenant(cfg);
+  };
+  const auto good =
+      serve::make_multi_tenant_workload(g, test_specs(2, 1000), 71);
+  auto bad = good;
+  bad.insert(bad.begin() + static_cast<std::ptrdiff_t>(bad.size() / 2),
+             serve::TenantQuery{1, 5, 9999});
+  const auto next =
+      serve::make_multi_tenant_workload(g, test_specs(2, 500), 72);
+
+  ThreadGuard guard;
+  std::string first_message;
+  for (const int threads : {1, 2, 4, 8}) {
+    set_num_threads(threads);
+    serve::Server server, clean;
+    setup(server);
+    setup(clean);
+    std::vector<Weight> out, out_clean;
+    server.serve(good, out);
+    clean.serve(good, out_clean);
+    const auto before0 = server.counters(0);
+    const auto before1 = server.counters(1);
+
+    std::string message;
+    try {
+      server.serve(bad, out);
+    } catch (const std::logic_error& ex) {
+      message = ex.what();
+    }
+    EXPECT_NE(message.find("vertex out of range"), std::string::npos)
+        << threads << " threads: '" << message << "'";
+    if (first_message.empty()) first_message = message;
+    EXPECT_EQ(message, first_message) << threads << " threads";
+    EXPECT_TRUE(same_counters(server.counters(0), before0)) << threads;
+    EXPECT_TRUE(same_counters(server.counters(1), before1)) << threads;
+
+    // The next valid batch serves exactly what a server that never saw
+    // the bad batch serves (caches included).
+    server.serve(next, out);
+    clean.serve(next, out_clean);
+    EXPECT_TRUE(bits_equal(out, out_clean)) << threads << " threads";
+    for (serve::TenantId t = 0; t < 2; ++t) {
+      EXPECT_TRUE(same_counters(server.counters(t), clean.counters(t)))
+          << "tenant " << t << ", " << threads << " threads";
+    }
+  }
 }
 
 TEST(Server, SwapEqualsSerialReplaySplitAtSwapPoint) {
@@ -385,7 +459,7 @@ TEST(Server, UpdateTriggeredSwapPreservesCounterLedger) {
   for (std::size_t b = 0; b < kBatches; ++b) {
     if (b == kSwapAt) {
       // The mid-sequence weight change that forces the republish.
-      const auto& e = g.edge_list()[11];
+      const auto e = g.edge_list()[11];  // copy: edge_list() is a temporary
       const auto stats =
           dyn.update(e.u, e.v, g.edge_weight(e.u, e.v) * 0.5);
       EXPECT_TRUE(stats.incremental);
