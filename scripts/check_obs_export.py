@@ -19,6 +19,9 @@ Chrome trace-event JSON:
     nonnegative ts/dur, and a nonnegative integer tid
   - events are sorted by ts (monotone — the writer merges the per-thread
     rings into one timeline) and rebased so the earliest ts is 0
+  - the single-workload run (an oracle-pipeline build) holds a span of
+    every construction stage: hopset.build, simgraph.build,
+    frt.tree_build and index.build
 
 Usage:
   scripts/check_obs_export.py --serve-bin build/src/serve_queries
@@ -159,9 +162,13 @@ def check_prometheus(path, errors):
 
 
 REQUIRED_EVENT_FIELDS = ("name", "cat", "ph", "pid", "tid", "ts", "dur")
+# One span per construction stage of the oracle pipeline (the per-layer
+# ledger's vocabulary).
+CONSTRUCTION_SPANS = ("hopset.build", "simgraph.build", "frt.tree_build",
+                      "index.build")
 
 
-def check_trace(path, errors):
+def check_trace(path, errors, required_spans=()):
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as e:
@@ -223,6 +230,10 @@ def check_trace(path, errors):
     if not events:
         errors.append(f"{path.name}: no trace events at all — tracing "
                       "was not enabled?")
+    names = {ev.get("name") for ev in events}
+    for span in required_spans:
+        if span not in names:
+            errors.append(f"{path.name}: no {span!r} span in the trace")
     return len(events)
 
 
@@ -270,10 +281,12 @@ def main():
                 print(f"error: {' '.join(cmd)} exited "
                       f"{proc.returncode}", file=sys.stderr)
                 return 1
-            n_samples = check_prometheus(metrics, errors)
-            n_events = check_trace(trace, errors)
             mode = "tenant" if any("--tenants" in a for a in extra) \
                 else "single"
+            n_samples = check_prometheus(metrics, errors)
+            n_events = check_trace(
+                trace, errors,
+                CONSTRUCTION_SPANS if mode == "single" else ())
             print(f"{mode} run: {n_samples} metric samples, "
                   f"{n_events} trace events")
 

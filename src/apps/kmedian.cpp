@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "src/frt/pipelines.hpp"
 #include "src/graph/shortest_paths.hpp"
 #include "src/parallel/parallel.hpp"
 #include "src/util/assertions.hpp"
@@ -504,10 +505,7 @@ KMedianResult kmedian_frt(const Graph& g, std::size_t k,
   best.cost = inf_weight();
   best.candidates = candidates.size();
   for (std::size_t t = 0; t < std::max<std::size_t>(opts.trees, 1); ++t) {
-    const double beta = sample_beta(rng);
-    auto order = VertexOrder::random(q, rng);
-    auto le = le_lists_from_metric(sub, order);
-    auto tree = FrtTree::build(le.lists, order, beta, sub_min);
+    const FrtTree tree = sample_frt_metric(sub, q, sub_min, rng).tree;
     // The flat path compacts the sampled tree into the serving index and
     // condenses over its arrays — bit-identical solution, no pointer
     // chasing (the reference stays selectable for the differential suite).

@@ -8,14 +8,17 @@ DynamicFrt::DynamicFrt(const SimulatedGraph& h, Rng& rng,
                        const FrtOptions& opts)
     : h_(&h),
       opts_(opts),
-      beta_(sample_beta(rng)),  // β before the order — the pipeline's draw
-      order_(VertexOrder::random(h.num_vertices(), rng)),
+      draw_(sample_frt_randomness(h.num_vertices(), rng)),
       oracle_(h, alg_, opts.mbf) {
-  states_ = le_initial_state(order_);
+  restart();
+  hint_ = dist_hint(h.base());
+  tree_ = FrtTree::build(states_, draw_.order, draw_.beta, hint_, opts_.rule);
+}
+
+void DynamicFrt::restart() {
+  states_ = le_initial_state(draw_.order);
   mbf_filter(alg_, states_);  // r^V x⁽⁰⁾, as oracle_run does
   run_to_fixpoint(nullptr);
-  hint_ = dist_hint(h.base());
-  tree_ = FrtTree::build(states_, order_, beta_, hint_, opts_.rule);
 }
 
 void DynamicFrt::run_to_fixpoint(const std::vector<Vertex>* changed0) {
@@ -34,9 +37,7 @@ bool DynamicFrt::apply_update(const WeightedEdge& edge, Weight new_weight) {
   if (kind == OracleUpdateKind::kInvalidated) {
     // Increase: the oracle reset to its freshly-constructed state, so this
     // is bit-identical to a brand-new build on the mutated weights.
-    states_ = le_initial_state(order_);
-    mbf_filter(alg_, states_);
-    run_to_fixpoint(nullptr);
+    restart();
   } else {
     // Decrease: continue from the retained caches.  The changed list is
     // *empty*, not nullptr — no state changed, the weights did; the
@@ -48,7 +49,7 @@ bool DynamicFrt::apply_update(const WeightedEdge& edge, Weight new_weight) {
   const bool changed = hint != hint_ || states_ != before;
   if (changed) {
     hint_ = hint;
-    tree_ = FrtTree::build(states_, order_, beta_, hint_, opts_.rule);
+    tree_ = FrtTree::build(states_, draw_.order, draw_.beta, hint_, opts_.rule);
   }
   return changed;
 }

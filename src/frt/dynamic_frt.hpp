@@ -1,21 +1,20 @@
 #pragma once
-// Incrementally maintained FRT sample (the dynamic-update path of the P-H
-// pipeline, docs/DYNAMIC.md).
-//
-// sample_frt_oracle_on (pipelines.cpp) is build-once: it draws β and the
-// vertex order, runs the LE-list oracle to its fixpoint, builds the tree,
-// and throws the oracle away.  DynamicFrt performs the identical build —
-// same RNG draw order, same iteration cap, bit-identical lists and tree —
-// but *retains* the oracle with its per-level state caches, the order, β,
-// and the current LE lists.  An edge-weight change of G' then costs only
-// the level re-runs the change actually reaches (MbfOracle::update):
+// The P-H per-tree driver (Theorem 7.9): draws β and the vertex order
+// (sample_frt_randomness), runs the LE-list oracle on H to its fixpoint
+// and builds the FRT tree.  sample_frt_oracle_on (pipelines.cpp) is this
+// driver used once: it reads the tree, lists and oracle stats and drops
+// the rest.  The dynamic-update path (docs/DYNAMIC.md) *retains* the
+// oracle with its per-level state caches, the order, β, and the current
+// LE lists, so an edge-weight change of G' costs only the level re-runs
+// the change actually reaches (MbfOracle::update):
 //
 //   decrease — the caches warm-restart with the edge endpoints seeded
 //              into every level's frontier; iteration continues in place
 //              and converges to the new least fixpoint, which is unique,
 //              so the lists are bit-identical to a full re-run.
-//   increase — the caches reset and the oracle re-runs from r^V x⁽⁰⁾,
-//              bit-identical to a freshly built oracle on the new weights.
+//   increase — the caches reset and the oracle re-runs from r^V x⁽⁰⁾
+//              (restart(), the constructor's own first run), bit-identical
+//              to a freshly built driver on the new weights.
 //
 // The tree (and hence the serving index) is rebuilt only when the LE
 // lists or the minimum-edge-weight hint actually changed — FrtTree::build
@@ -28,6 +27,7 @@
 // DynamicFrt never mutates H itself.  Not copyable/movable: the retained
 // oracle points at internal members.
 
+#include <utility>
 #include <vector>
 
 #include "src/frt/pipelines.hpp"
@@ -36,10 +36,9 @@ namespace pmte {
 
 class DynamicFrt {
  public:
-  /// Replicates sample_frt_oracle_on(h, rng, opts) bit-for-bit: draws β
-  /// then the order from `rng`, runs the LE oracle to its fixpoint and
-  /// builds the tree.  Oracle pipeline only (`opts.mbf` feeds the retained
-  /// oracle); `h` must outlive the maintainer.
+  /// Draws β then the order from `rng`, runs the LE oracle to its
+  /// fixpoint and builds the tree.  Oracle pipeline only (`opts.mbf` feeds
+  /// the retained oracle); `h` must outlive the maintainer.
   DynamicFrt(const SimulatedGraph& h, Rng& rng, const FrtOptions& opts = {});
 
   DynamicFrt(const DynamicFrt&) = delete;
@@ -57,8 +56,13 @@ class DynamicFrt {
   [[nodiscard]] const std::vector<DistanceMap>& lists() const noexcept {
     return states_;
   }
-  [[nodiscard]] const VertexOrder& order() const noexcept { return order_; }
-  [[nodiscard]] double beta() const noexcept { return beta_; }
+  /// Hand the tree to a build-once caller (sample_frt_oracle_on); the
+  /// maintainer is not used afterwards.
+  [[nodiscard]] FrtTree take_tree() && { return std::move(tree_); }
+  [[nodiscard]] const VertexOrder& order() const noexcept {
+    return draw_.order;
+  }
+  [[nodiscard]] double beta() const noexcept { return draw_.beta; }
   /// Whether the last oracle run drained its changed set within the cap.
   [[nodiscard]] bool converged() const noexcept { return converged_; }
   /// Cumulative H-iterations across the initial build and every update.
@@ -78,12 +82,14 @@ class DynamicFrt {
   /// opts.max_iterations is 0).  `changed0` as there: nullptr for fresh
   /// runs, empty for post-update continuations.
   void run_to_fixpoint(const std::vector<Vertex>* changed0);
+  /// A fresh run from r^V x⁽⁰⁾ on the oracle's current caches (new, or
+  /// just invalidated): the first build and every increase.
+  void restart();
 
   const SimulatedGraph* h_;
   FrtOptions opts_;
   LeListAlgebra alg_;
-  double beta_;
-  VertexOrder order_;
+  FrtRandomness draw_;
   MbfOracle<LeListAlgebra> oracle_;
   std::vector<DistanceMap> states_;  ///< current LE lists (keys are ranks)
   Weight hint_ = 1.0;                ///< dist-min hint the tree was built with

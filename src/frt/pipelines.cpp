@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/graph/shortest_paths.hpp"
+#include "src/frt/dynamic_frt.hpp"
+#include "src/obs/obs.hpp"
 #include "src/parallel/counters.hpp"
 #include "src/util/assertions.hpp"
 #include "src/util/timer.hpp"
@@ -24,31 +25,58 @@ Weight dist_hint(const Graph& g) {
   return is_finite(w) ? w : 1.0;
 }
 
+FrtRandomness sample_frt_randomness(Vertex n, Rng& rng) {
+  // Braced initialisers evaluate in order: β is drawn before the order.
+  return {sample_beta(rng), VertexOrder::random(n, rng)};
+}
+
+SimulatedGraph build_oracle_graph(const Graph& g,
+                                  const HubHopSetParams& hopset, double eps_hat,
+                                  Rng& rng) {
+  const HopSet hs = [&] {
+    PMTE_OBS_SPAN("hopset.build", static_cast<std::int64_t>(g.num_vertices()),
+                  "n");
+    return build_hub_hopset(g, hopset, rng);
+  }();
+  PMTE_OBS_SPAN("simgraph.build", static_cast<std::int64_t>(hs.edges.size()),
+                "hopset_edges");
+  return build_simulated_graph(
+      g, hs, resolve_eps_hat(eps_hat, g.num_vertices()), rng);
+}
+
 namespace {
 
-std::size_t max_list_length(const LeListsResult& le) {
+std::size_t max_list_length(const std::vector<DistanceMap>& lists) {
   std::size_t worst = 0;
-  for (const auto& l : le.lists) worst = std::max(worst, l.size());
+  for (const auto& l : lists) worst = std::max(worst, l.size());
   return worst;
 }
 
-FrtSample finish_sample(LeListsResult le, VertexOrder order, double beta,
-                        Weight dist_min_hint, const FrtOptions& opts,
-                        const WorkDepthScope& scope, const Timer& timer) {
-  FrtSample s;
-  s.beta = beta;
-  s.iterations = le.iterations;
-  s.base_iterations = le.base_iterations;
-  s.levels_skipped = le.levels_skipped;
-  s.levels_warm = le.levels_warm;
-  s.levels_full = le.levels_full;
-  s.max_list_length = max_list_length(le);
-  s.tree = FrtTree::build(le.lists, order, beta, dist_min_hint, opts.rule);
-  s.order = std::move(order);
+void finish_sample(FrtSample& s, const WorkDepthScope& scope,
+                   const Timer& timer) {
   s.work = scope.work_delta();
   s.relaxations = scope.relaxations_delta();
   s.edges_touched = scope.edges_touched_delta();
   s.seconds = timer.seconds();
+}
+
+/// Steps (1)–(4) for the pipelines whose LE lists come from one stateless
+/// call `le_lists(order)`: draw, lists, tree.
+template <class LeLists>
+FrtSample sample_stateless(Vertex n, Weight dist_min_hint, Rng& rng,
+                           const FrtOptions& opts, LeLists&& le_lists) {
+  const Timer timer;
+  const WorkDepthScope scope;
+  FrtRandomness draw = sample_frt_randomness(n, rng);
+  const LeListsResult le = le_lists(draw.order);
+  FrtSample s;
+  s.beta = draw.beta;
+  s.iterations = le.iterations;
+  s.max_list_length = max_list_length(le.lists);
+  s.tree = FrtTree::build(le.lists, draw.order, draw.beta, dist_min_hint,
+                          opts.rule);
+  s.order = std::move(draw.order);
+  finish_sample(s, scope, timer);
   return s;
 }
 
@@ -57,13 +85,11 @@ FrtSample finish_sample(LeListsResult le, VertexOrder order, double beta,
 FrtSample sample_frt_direct(const Graph& g, Rng& rng,
                             const FrtOptions& opts) {
   PMTE_CHECK(g.num_vertices() >= 1, "empty graph");
-  const Timer timer;
-  const WorkDepthScope scope;
-  const double beta = sample_beta(rng);
-  auto order = VertexOrder::random(g.num_vertices(), rng);
-  auto le = le_lists_iteration(g, order, opts.max_iterations);
-  return finish_sample(std::move(le), std::move(order), beta,
-                       dist_hint(g), opts, scope, timer);
+  return sample_stateless(
+      g.num_vertices(), dist_hint(g), rng, opts,
+      [&](const VertexOrder& order) {
+        return le_lists_iteration(g, order, opts.max_iterations);
+      });
 }
 
 FrtSample sample_frt_oracle(const Graph& g, Rng& rng,
@@ -71,15 +97,9 @@ FrtSample sample_frt_oracle(const Graph& g, Rng& rng,
   PMTE_CHECK(g.num_vertices() >= 1, "empty graph");
   const Timer timer;
   const WorkDepthScope scope;
-  auto hopset = build_hub_hopset(g, opts.hopset, rng);
-  const double eps = resolve_eps_hat(opts.eps_hat, g.num_vertices());
-  auto h = build_simulated_graph(g, hopset, eps, rng);
+  const auto h = build_oracle_graph(g, opts.hopset, opts.eps_hat, rng);
   auto sample = sample_frt_oracle_on(h, rng, opts);
-  sample.hopset_edges = hopset.edges.size();
-  sample.seconds = timer.seconds();
-  sample.work = scope.work_delta();
-  sample.relaxations = scope.relaxations_delta();
-  sample.edges_touched = scope.edges_touched_delta();
+  finish_sample(sample, scope, timer);
   return sample;
 }
 
@@ -87,37 +107,39 @@ FrtSample sample_frt_oracle_on(const SimulatedGraph& h, Rng& rng,
                                const FrtOptions& opts) {
   const Timer timer;
   const WorkDepthScope scope;
-  const double beta = sample_beta(rng);
-  auto order = VertexOrder::random(h.num_vertices(), rng);
-  auto le = le_lists_oracle(h, order, opts.max_iterations, opts.mbf);
-  // Distances in H lower-bound to the minimum edge weight of G' (every H
-  // edge weighs (1+ε̂)^{≥0}·dist^d ≥ dist ≥ min edge weight).
-  return finish_sample(std::move(le), std::move(order), beta,
-                       dist_hint(h.base()), opts, scope, timer);
+  DynamicFrt frt(h, rng, opts);
+  const OracleStats& stats = frt.oracle_stats();
+  FrtSample s;
+  s.beta = frt.beta();
+  s.order = frt.order();
+  s.iterations = stats.h_iterations;
+  s.base_iterations = stats.base_iterations;
+  s.levels_skipped = stats.levels_skipped;
+  s.levels_warm = stats.levels_warm;
+  s.levels_full = stats.levels_full;
+  s.max_list_length = max_list_length(frt.lists());
+  s.hopset_edges = h.hopset_edges();
+  s.tree = std::move(frt).take_tree();
+  finish_sample(s, scope, timer);
+  return s;
 }
 
 FrtSample sample_frt_metric(const std::vector<Weight>& metric, Vertex n,
                             Weight dist_min_hint, Rng& rng,
                             const FrtOptions& opts) {
-  const Timer timer;
-  const WorkDepthScope scope;
-  const double beta = sample_beta(rng);
-  auto order = VertexOrder::random(n, rng);
-  auto le = le_lists_from_metric(metric, order);
-  return finish_sample(std::move(le), std::move(order), beta, dist_min_hint,
-                       opts, scope, timer);
+  return sample_stateless(n, dist_min_hint, rng, opts,
+                          [&](const VertexOrder& order) {
+                            return le_lists_from_metric(metric, order);
+                          });
 }
 
 FrtSample sample_frt_sequential(const Graph& g, Rng& rng,
                                 const FrtOptions& opts) {
   PMTE_CHECK(g.num_vertices() >= 1, "empty graph");
-  const Timer timer;
-  const WorkDepthScope scope;
-  const double beta = sample_beta(rng);
-  auto order = VertexOrder::random(g.num_vertices(), rng);
-  auto le = le_lists_sequential(g, order);
-  return finish_sample(std::move(le), std::move(order), beta,
-                       dist_hint(g), opts, scope, timer);
+  return sample_stateless(g.num_vertices(), dist_hint(g), rng, opts,
+                          [&](const VertexOrder& order) {
+                            return le_lists_sequential(g, order);
+                          });
 }
 
 }  // namespace pmte

@@ -12,9 +12,10 @@
 //                        near-optimal sequential work, no parallel depth
 //                        guarantee.
 //
-// All pipelines share step (1)–(2) randomness (β, vertex order) and
+// All pipelines share step (1)–(2) randomness (sample_frt_randomness) and
 // construct the tree via FrtTree::build, so their outputs are directly
-// comparable.
+// comparable.  P-H builds H once (build_oracle_graph) and drives each tree
+// through DynamicFrt.
 
 #include <cstdint>
 #include <optional>
@@ -50,13 +51,28 @@ struct FrtSample {
   std::uint64_t relaxations = 0;    ///< edge relax applications (WorkDepth)
   std::uint64_t edges_touched = 0;  ///< half-edges scanned (WorkDepth)
   double seconds = 0.0;
-  std::size_t hopset_edges = 0;
+  std::size_t hopset_edges = 0;  ///< hop-set edges of H (P-H pipeline)
   std::size_t max_list_length = 0;  ///< for Lemma 7.6 checks
   /// Oracle level-reuse accounting (P-H pipeline; zero elsewhere).
   unsigned levels_skipped = 0;
   unsigned levels_warm = 0;
   unsigned levels_full = 0;
 };
+
+/// Steps (1)–(2) of Section 7.1: β ∈ [1, 2), then the random vertex
+/// order, in that draw order — every pipeline's per-tree randomness.
+struct FrtRandomness {
+  double beta = 1.0;
+  VertexOrder order;
+};
+[[nodiscard]] FrtRandomness sample_frt_randomness(Vertex n, Rng& rng);
+
+/// The P-H pipeline's shared stage (Sections 4–5): build the hub hop set,
+/// resolve ε̂ and return the simulated graph H over G' = G ∪ hop set.  One
+/// H serves any number of samples (sample_frt_oracle_on, DynamicFrt).
+[[nodiscard]] SimulatedGraph build_oracle_graph(const Graph& g,
+                                                const HubHopSetParams& hopset,
+                                                double eps_hat, Rng& rng);
 
 /// P-G: direct fixpoint iteration on G.
 [[nodiscard]] FrtSample sample_frt_direct(const Graph& g, Rng& rng,
@@ -68,6 +84,7 @@ struct FrtSample {
 
 /// P-H with a pre-built simulated graph (amortise the hop set across
 /// samples; the level sampling stays fixed, fresh β/permutation per call).
+/// A build-once DynamicFrt: the sample is its tree, lists and oracle stats.
 [[nodiscard]] FrtSample sample_frt_oracle_on(const SimulatedGraph& h,
                                              Rng& rng,
                                              const FrtOptions& opts = {});
@@ -89,7 +106,8 @@ struct FrtSample {
 
 /// Minimum-distance hint for FrtTree::build: the graph's minimum edge
 /// weight (edgeless graphs, n ≤ 1, have none; any positive value works).
-/// The pipelines and DynamicFrt all pass this, so their trees agree.
+/// The pipelines on G pass dist_hint(g), the oracle driver dist_hint of
+/// G' (every H distance is at least its minimum edge weight).
 [[nodiscard]] Weight dist_hint(const Graph& g);
 
 }  // namespace pmte

@@ -112,18 +112,6 @@ void mbf_filter(const Algebra& alg,
   WorkDepth::add_depth_serial(1);
 }
 
-/// Parallel component-wise equality of two state vectors (the fixpoint
-/// test, folded out of the serial scan it used to be).
-template <MbfAlgebra Algebra>
-[[nodiscard]] bool mbf_states_equal(
-    const Algebra& alg, const std::vector<typename Algebra::State>& a,
-    const std::vector<typename Algebra::State>& b) {
-  PMTE_CHECK(a.size() == b.size(), "mbf_states_equal: size mismatch");
-  return parallel_reduce_sum(a.size(), [&](std::size_t v) {
-           return alg.equal(a[v], b[v]) ? 0.0 : 1.0;
-         }) == 0.0;
-}
-
 /// Iteration mode of MbfEngine.
 enum class MbfMode : std::uint8_t {
   kAuto,    ///< frontier-driven, dense fallback above the density threshold

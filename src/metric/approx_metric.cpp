@@ -2,11 +2,10 @@
 
 #include <algorithm>
 
-#include "src/frt/pipelines.hpp"  // resolve_eps_hat
+#include "src/frt/pipelines.hpp"  // build_oracle_graph
 #include "src/mbf/algebras.hpp"
 #include "src/oracle/mbf_oracle.hpp"
 #include "src/parallel/counters.hpp"
-#include "src/simgraph/simulated_graph.hpp"
 #include "src/spanner/baswana_sen.hpp"
 #include "src/util/assertions.hpp"
 #include "src/util/timer.hpp"
@@ -21,10 +20,8 @@ MetricResult approximate_metric(const Graph& g,
   const WorkDepthScope scope;
   MetricResult r;
 
-  auto hopset = build_hub_hopset(g, opts.hopset, rng);
-  r.hopset_edges = hopset.edges.size();
-  const double eps = resolve_eps_hat(opts.eps_hat, n);
-  const auto h = build_simulated_graph(g, hopset, eps, rng);
+  const auto h = build_oracle_graph(g, opts.hopset, opts.eps_hat, rng);
+  r.hopset_edges = h.hopset_edges();
 
   // APSP is source detection with S = V, k = n, unbounded distance
   // (Example 3.5): the identity filter over D.

@@ -29,7 +29,7 @@ struct MetricResult {
 };
 
 struct ApproxMetricOptions {
-  double eps_hat = 0.0;  ///< 0 → auto 1/⌈log₂ n⌉
+  double eps_hat = 0.0;  ///< 0 → auto 1/⌈log₂ n⌉² (resolve_eps_hat)
   HubHopSetParams hopset;
 };
 

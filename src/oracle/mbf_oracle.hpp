@@ -553,22 +553,6 @@ class MbfOracle {
   OracleStats stats_;
 };
 
-/// One stateless simulated H-iteration per Equation (5.9) (reference
-/// semantics, no reuse — a fresh Jacobi MbfOracle per call).  Prefer
-/// MbfOracle / oracle_run when iterating to a fixpoint.
-template <OracleAlgebra Algebra>
-[[nodiscard]] std::vector<typename Algebra::State> oracle_step(
-    const SimulatedGraph& h, const Algebra& alg,
-    const std::vector<typename Algebra::State>& x,
-    unsigned* base_iterations = nullptr) {
-  MbfOracle<Algebra> oracle(h, alg, MbfOptions{.oracle_level_reuse = false});
-  auto out = oracle.step(x);
-  if (base_iterations != nullptr) {
-    *base_iterations += oracle.stats().base_iterations;
-  }
-  return out;
-}
-
 /// Automatic H-iteration cap of an oracle run to the fixpoint,
 /// max(8, 4·log₂²n): SPD(H) ∈ O(log² n) w.h.p. (Theorem 4.5), and the
 /// fixpoint check stops a run as soon as the states stabilise, so the cap

@@ -1,5 +1,7 @@
 #include "src/serve/dynamic_ensemble.hpp"
 
+#include <utility>
+
 #include "src/obs/obs.hpp"
 #include "src/parallel/counters.hpp"
 #include "src/parallel/parallel.hpp"
@@ -42,36 +44,31 @@ DynamicObs& dynamic_obs() {
 }
 #endif  // PMTE_OBS
 
-}  // namespace
-
-SimulatedGraph DynamicEnsemble::make_h(const Graph& g,
-                                       std::uint64_t master_seed,
-                                       const EnsembleOptions& opts) {
+const EnsembleOptions& checked(const Graph& g, const EnsembleOptions& opts) {
   PMTE_CHECK(opts.pipeline == EnsemblePipeline::oracle,
              "DynamicEnsemble: oracle pipeline only (the incremental path "
              "is the retained per-level oracle)");
   PMTE_CHECK(opts.trees >= 1, "DynamicEnsemble: needs at least one tree");
   PMTE_CHECK(g.num_vertices() >= 1, "DynamicEnsemble: empty graph");
-  Rng shared(split_seed(master_seed, 0));
-  const auto hopset = build_hub_hopset(g, opts.frt.hopset, shared);
-  return build_simulated_graph(
-      g, hopset, resolve_eps_hat(opts.frt.eps_hat, g.num_vertices()), shared);
+  return opts;
 }
+
+}  // namespace
 
 DynamicEnsemble::DynamicEnsemble(const Graph& g, std::uint64_t master_seed,
                                  const EnsembleOptions& opts)
     : g_(g),
       master_seed_(master_seed),
-      opts_(opts),
-      h_(make_h(g_, master_seed, opts)) {
+      opts_(checked(g, opts)),
+      h_(build_ensemble_h(g_, master_seed, opts.frt)) {
   PMTE_OBS_SPAN("dynamic.build", static_cast<std::int64_t>(opts.trees),
                 "trees");
   maintainers_.resize(opts.trees);
   indices_.resize(opts.trees);
   auto build_one = [&](std::size_t t) {
-    // Streams 1..k, as FrtEnsemble::build — slots are independent, so any
-    // schedule produces the same maintainers and indices.
-    Rng rng(split_seed(master_seed, 1 + t));
+    // Slots are independent, so any schedule produces the same
+    // maintainers and indices.
+    Rng rng = tree_rng(master_seed, t);
     maintainers_[t] = std::make_unique<DynamicFrt>(h_, rng, opts_.frt);
     indices_[t] = FrtIndex::build(maintainers_[t]->tree());
   };
@@ -92,13 +89,17 @@ DynamicEnsemble::UpdateStats DynamicEnsemble::update(Vertex u, Vertex v,
   // *raise* it — which must invalidate, not warm-restart.
   const Weight old_prime = h_.base().edge_weight(u, v);
   const WorkDepthScope scope;
-  std::uint64_t runs_before = 0;
-  std::uint64_t skips_before = 0;
-  for (const auto& m : maintainers_) {
-    const auto& s = m->oracle_stats();
-    runs_before += s.levels_warm + s.levels_full;
-    skips_before += s.levels_skipped;
-  }
+  // (level runs, level skips) summed over every maintainer's oracle.
+  auto level_totals = [&] {
+    std::pair<std::uint64_t, std::uint64_t> totals{0, 0};
+    for (const auto& m : maintainers_) {
+      const auto& s = m->oracle_stats();
+      totals.first += s.levels_warm + s.levels_full;
+      totals.second += s.levels_skipped;
+    }
+    return totals;
+  };
+  const auto before = level_totals();
 
   // Mutate the shared graph exactly once — every maintainer's engine reads
   // the weight live from H's base, and the oracles must all observe the
@@ -124,15 +125,9 @@ DynamicEnsemble::UpdateStats DynamicEnsemble::update(Vertex u, Vertex v,
   for (std::size_t t = 0; t < maintainers_.size(); ++t) {
     stats.trees_rebuilt += rebuilt[t];
   }
-  std::uint64_t runs_after = 0;
-  std::uint64_t skips_after = 0;
-  for (const auto& m : maintainers_) {
-    const auto& s = m->oracle_stats();
-    runs_after += s.levels_warm + s.levels_full;
-    skips_after += s.levels_skipped;
-  }
-  stats.levels_recomputed = runs_after - runs_before;
-  stats.levels_skipped = skips_after - skips_before;
+  const auto after = level_totals();
+  stats.levels_recomputed = after.first - before.first;
+  stats.levels_skipped = after.second - before.second;
   stats.relaxations = scope.relaxations_delta();
   ++updates_;
 

@@ -4,9 +4,9 @@
 // FrtEnsemble is immutable by design — the serving layer shares it across
 // tenants and epochs.  DynamicEnsemble is the mutable build-side
 // counterpart for live edge-weight updates: it owns a mutable copy of the
-// graph, the shared simulated graph H (stream 0 of the master seed,
-// exactly as FrtEnsemble::build constructs it), one retained DynamicFrt
-// maintainer per tree (streams 1..k), and the current flat indices.
+// graph, the shared simulated graph H (build_ensemble_h, stream 0 of the
+// ensemble seed layout), one retained DynamicFrt maintainer per tree
+// (tree_rng, streams 1..k), and the current flat indices.
 //
 //   update(u, v, w)  — applies the re-weighting to the graph and to H's
 //                      base *once* (all maintainers observe one shared H;
@@ -46,9 +46,9 @@ namespace pmte::serve {
 
 class DynamicEnsemble {
  public:
-  /// Build the maintained state over `g` — same randomness layout as
-  /// FrtEnsemble::build (oracle pipeline required: the incremental path
-  /// *is* the retained oracle).
+  /// Build the maintained state over `g` through the ensemble seed layout
+  /// (oracle pipeline required: the incremental path *is* the retained
+  /// oracle).
   DynamicEnsemble(const Graph& g, std::uint64_t master_seed,
                   const EnsembleOptions& opts = {});
 
@@ -92,12 +92,6 @@ class DynamicEnsemble {
   }
 
  private:
-  /// Stream-0 shared randomness, exactly as FrtEnsemble::build: hub hop
-  /// set + level sampling.
-  [[nodiscard]] static SimulatedGraph make_h(const Graph& g,
-                                             std::uint64_t master_seed,
-                                             const EnsembleOptions& opts);
-
   Graph g_;  ///< mutable copy; fingerprints and hints read the live state
   std::uint64_t master_seed_;
   EnsembleOptions opts_;

@@ -182,6 +182,23 @@ void FrtEnsemble::finalize_query_layout() {
   }
 }
 
+SimulatedGraph build_ensemble_h(const Graph& g, std::uint64_t master_seed,
+                                const FrtOptions& opts) {
+  Rng shared(split_seed(master_seed, 0));
+  return build_oracle_graph(g, opts.hopset, opts.eps_hat, shared);
+}
+
+Rng tree_rng(std::uint64_t master_seed, std::size_t t) {
+  return Rng(split_seed(master_seed, 1 + t));
+}
+
+FrtEnsemble::FrtEnsemble(const FrtEnsemble& other)
+    : indices_(other.indices_),
+      master_seed_(other.master_seed_),
+      graph_fingerprint_(other.graph_fingerprint_),
+      stats_(other.stats_),
+      leaf_pos_soa_(other.leaf_pos_soa_) {}
+
 FrtEnsemble FrtEnsemble::build(const Graph& g, std::uint64_t master_seed,
                                const EnsembleOptions& opts) {
   PMTE_CHECK(opts.trees >= 1, "FrtEnsemble: needs at least one tree");
@@ -192,28 +209,17 @@ FrtEnsemble FrtEnsemble::build(const Graph& g, std::uint64_t master_seed,
   const Timer timer;
   const WorkDepthScope scope;
 
-  FrtEnsemble e;
-  e.master_seed_ = master_seed;
-  e.graph_fingerprint_ = fingerprint(g);
-  e.indices_.resize(opts.trees);
-
-  // Stream 0 of the master seed covers the randomness shared by all trees
-  // (hub hop set + level sampling); streams 1..k seed the per-tree
-  // β/permutation draws.  See split_seed in src/util/rng.hpp.
   std::optional<SimulatedGraph> h;
   if (opts.pipeline == EnsemblePipeline::oracle) {
-    Rng shared(split_seed(master_seed, 0));
-    const auto hopset = build_hub_hopset(g, opts.frt.hopset, shared);
-    h.emplace(build_simulated_graph(
-        g, hopset, resolve_eps_hat(opts.frt.eps_hat, g.num_vertices()),
-        shared));
+    h.emplace(build_ensemble_h(g, master_seed, opts.frt));
   }
 
+  std::vector<FrtIndex> indices(opts.trees);
   std::vector<std::uint64_t> iterations(opts.trees, 0);
   auto build_one = [&](std::size_t t) {
     PMTE_OBS_SPAN("ensemble.build_tree", static_cast<std::int64_t>(t),
                   "tree");
-    Rng rng(split_seed(master_seed, 1 + t));
+    Rng rng = tree_rng(master_seed, t);
     FrtSample sample = [&] {
       switch (opts.pipeline) {
         case EnsemblePipeline::oracle:
@@ -226,22 +232,24 @@ FrtEnsemble FrtEnsemble::build(const Graph& g, std::uint64_t master_seed,
       }
     }();
     iterations[t] = sample.iterations;
-    e.indices_[t] = FrtIndex::build(sample.tree);
+    indices[t] = FrtIndex::build(sample.tree);
   };
   // Tree slots are independent (own RNG stream, write only their own
   // index), so any schedule produces the same ensemble; the per-tree
   // engine loops detect the enclosing region and run serially.
   parallel_for(opts.trees, build_one, /*grain=*/1);
 
+  EnsembleBuildStats stats;
   for (std::size_t t = 0; t < opts.trees; ++t) {
-    e.stats_.iterations += iterations[t];
-    e.stats_.index_nodes += e.indices_[t].num_nodes();
+    stats.iterations += iterations[t];
+    stats.index_nodes += indices[t].num_nodes();
   }
-  e.stats_.work = scope.work_delta();
-  e.stats_.relaxations = scope.relaxations_delta();
-  e.stats_.edges_touched = scope.edges_touched_delta();
-  e.stats_.seconds = timer.seconds();
-  e.finalize_query_layout();
+  stats.work = scope.work_delta();
+  stats.relaxations = scope.relaxations_delta();
+  stats.edges_touched = scope.edges_touched_delta();
+  stats.seconds = timer.seconds();
+  FrtEnsemble e = assemble(std::move(indices), master_seed, fingerprint(g));
+  e.stats_ = stats;
   return e;
 }
 

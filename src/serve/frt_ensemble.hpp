@@ -6,12 +6,12 @@
 // querying k independent trees and aggregating.  FrtEnsemble builds k
 // FrtIndex instances over the same graph:
 //
-//   Randomness  — per-tree RNG streams derive from one master seed via
-//                 split_seed(master, 1 + t) (stream 0 feeds the shared
-//                 hop-set / simulated-graph randomness of the oracle
-//                 pipeline).  Each tree is a fixed function of (graph,
-//                 master, t), so the ensemble is reproducible regardless
-//                 of build order and thread count.
+//   Randomness  — the seed layout (build_ensemble_h, tree_rng below):
+//                 stream 0 of the master seed feeds the shared hop-set /
+//                 simulated-graph randomness of the oracle pipeline,
+//                 stream 1 + t tree t.  Each tree is a fixed function of
+//                 (graph, master, t), so the ensemble is reproducible
+//                 regardless of build order and thread count.
 //   Build       — trees build in parallel (parallel_for over slots; the
 //                 per-tree engine loops detect the enclosing region and
 //                 run serially).  The oracle pipeline shares one simulated
@@ -41,10 +41,11 @@
 // every index's persisted arrays become views into it and only the
 // derived tables are rebuilt.  A mapped load copies zero bulk bytes (the
 // load-path counters in serialize.hpp prove it).  The ensemble owns its
-// image via shared_ptr, so registry entries, tenants, and copies of the
-// shared_ptr keep it alive for as long as any query can touch it; served
+// image via shared_ptr, so registry entries, tenants, and moved-to
+// ensembles keep it alive for as long as any query can touch it; served
 // doubles and all logical counters are bit-identical between the two
-// load paths.
+// load paths.  A *copy* deep-copies every index section, so it owns its
+// arrays and does not pin the image (is_mapped() is false).
 //
 // Query path layout: alongside the per-index arrays the ensemble keeps a
 // structure-of-arrays copy of the leaf tour positions (leaf_pos_soa_,
@@ -77,6 +78,15 @@ struct EnsembleOptions {
   FrtOptions frt;  ///< weight rule, ε̂, hop-set, engine tunables
 };
 
+/// The ensemble seed layout, stream 0: the simulated graph H every
+/// oracle tree of (g, master_seed) shares — build_oracle_graph on
+/// split_seed(master_seed, 0).
+[[nodiscard]] SimulatedGraph build_ensemble_h(const Graph& g,
+                                              std::uint64_t master_seed,
+                                              const FrtOptions& opts);
+/// The ensemble seed layout, stream 1 + t: tree t's β and vertex order.
+[[nodiscard]] Rng tree_rng(std::uint64_t master_seed, std::size_t t);
+
 /// Deterministic build accounting, summed over all trees (WorkDepth
 /// logical-op deltas — thread-count independent; wall time is not).
 struct EnsembleBuildStats {
@@ -91,6 +101,13 @@ struct EnsembleBuildStats {
 class FrtEnsemble {
  public:
   FrtEnsemble() = default;
+  /// A copy owns its arrays and never pins the source's image.
+  FrtEnsemble(const FrtEnsemble& other);
+  FrtEnsemble& operator=(const FrtEnsemble& other) {
+    return *this = FrtEnsemble(other);
+  }
+  FrtEnsemble(FrtEnsemble&&) noexcept = default;
+  FrtEnsemble& operator=(FrtEnsemble&&) noexcept = default;
 
   /// Build `opts.trees` indices over `g` from one master seed.
   [[nodiscard]] static FrtEnsemble build(const Graph& g,
@@ -196,8 +213,8 @@ class FrtEnsemble {
   /// The one load path: pin `image`, parse the ensemble artefact in it.
   [[nodiscard]] static FrtEnsemble from_image(ArtefactImage image);
   /// Rebuild the derived structure-of-arrays query layout (leaf_pos_soa_).
-  /// Every path that produces a servable ensemble (build/assemble/load)
-  /// ends here.
+  /// Every path that produces a servable ensemble (assemble, which build
+  /// ends through, and load) ends here.
   void finalize_query_layout();
 
   std::vector<FrtIndex> indices_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "src/obs/obs.hpp"
 #include "src/serve/serialize.hpp"
 #include "src/util/assertions.hpp"
 
@@ -13,6 +14,7 @@ FrtIndex FrtIndex::build(const FrtTree& tree) {
   const std::size_t nodes = tree.num_nodes();
   PMTE_CHECK(nodes >= 1, "FrtIndex: empty tree");
   PMTE_CHECK(nodes <= 0x7fffffffULL, "FrtIndex: tree too large for u32 ids");
+  PMTE_OBS_SPAN("index.build", static_cast<std::int64_t>(nodes), "nodes");
 
   FrtIndex idx;
   idx.levels_ = tree.num_levels();

@@ -65,8 +65,9 @@ SimulatedGraph build_simulated_graph(const Graph& g, const HopSet& hopset,
                                      double eps_hat, Rng& rng) {
   Graph g_prime = hopset.apply(g);
   auto levels = LevelAssignment::sample(g.num_vertices(), rng);
-  return SimulatedGraph(std::move(g_prime), hopset.d, eps_hat,
-                        std::move(levels));
+  SimulatedGraph h(std::move(g_prime), hopset.d, eps_hat, std::move(levels));
+  h.hopset_edges_ = hopset.edges.size();
+  return h;
 }
 
 }  // namespace pmte

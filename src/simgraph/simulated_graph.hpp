@@ -37,6 +37,11 @@ class SimulatedGraph {
   [[nodiscard]] unsigned max_level() const noexcept {
     return levels_.max_level();
   }
+  /// Number of hop-set edges G' was augmented with (build_simulated_graph
+  /// records it; 0 for an H constructed directly).
+  [[nodiscard]] std::size_t hopset_edges() const noexcept {
+    return hopset_edges_;
+  }
 
   /// The level scaling factor (1+ε̂)^{Λ−λ} applied to A_λ (Lemma 5.1).
   [[nodiscard]] double level_scale(unsigned lambda) const noexcept;
@@ -66,6 +71,10 @@ class SimulatedGraph {
   double eps_hat_;
   LevelAssignment levels_;
   std::vector<double> scale_;  // scale_[λ] = (1+ε̂)^{Λ−λ}
+  std::size_t hopset_edges_ = 0;
+
+  friend SimulatedGraph build_simulated_graph(const Graph&, const HopSet&,
+                                              double, Rng&);
 };
 
 /// End-to-end construction per the paper's pipeline (Section 4):

@@ -110,8 +110,9 @@ std::vector<std::pair<Vertex, Vertex>> make_pairs(Vertex n, std::size_t k,
   return pairs;
 }
 
-/// The stream-0 simulated graph exactly as DynamicEnsemble::make_h (and
-/// FrtEnsemble::build) derives it from the *original* weights.  The update
+/// The stream-0 simulated graph of the ensemble seed layout, derived here
+/// from the raw stages (split_seed, hop set, H) as an independent check of
+/// serve::build_ensemble_h, from the *original* weights.  The update
 /// contract re-weights this built H's base in place — hop-set shortcuts
 /// are never re-derived — so the rebuild reference shares the H and only
 /// swaps the base weights (serve/dynamic_ensemble.hpp).
@@ -142,7 +143,9 @@ void reweight_base(SimulatedGraph& h, const Graph& original,
 
 /// Full from-scratch rebuild over the (re-weighted) reference H: fresh
 /// per-tree RNG streams, fresh oracle runs, fresh trees and indices.
-/// This is the ground truth every post-update snapshot is pinned against.
+/// This is the ground truth every post-update snapshot is pinned against,
+/// so it is replayed from the public stages (β, order, le_lists_oracle,
+/// FrtTree::build) rather than through DynamicFrt, the code under test.
 serve::FrtEnsemble rebuild_reference(const SimulatedGraph& h,
                                      const Graph& current,
                                      std::uint64_t master_seed,
@@ -150,8 +153,12 @@ serve::FrtEnsemble rebuild_reference(const SimulatedGraph& h,
   std::vector<serve::FrtIndex> indices(opts.trees);
   for (std::size_t t = 0; t < opts.trees; ++t) {
     Rng rng(split_seed(master_seed, 1 + t));
-    const auto s = sample_frt_oracle_on(h, rng, opts.frt);
-    indices[t] = serve::FrtIndex::build(s.tree);
+    const double beta = sample_beta(rng);
+    const auto order = VertexOrder::random(h.num_vertices(), rng);
+    const auto le = le_lists_oracle(h, order, opts.frt.max_iterations,
+                                    opts.frt.mbf);
+    indices[t] = serve::FrtIndex::build(FrtTree::build(
+        le.lists, order, beta, dist_hint(h.base()), opts.frt.rule));
   }
   return serve::FrtEnsemble::assemble(std::move(indices), master_seed,
                                       serve::FrtEnsemble::fingerprint(current));

@@ -276,6 +276,50 @@ TEST(ObsSpan, NestedSpansUnderNestedParallelFor) {
   EXPECT_EQ(inner, kOuter * kInner);
 }
 
+/// Complete events named `name` in the exported Chrome trace.
+std::size_t count_trace_events(const std::string& text,
+                               const std::string& name) {
+  const std::string needle = "\"name\":\"" + name + "\"";
+  std::size_t count = 0;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find(needle) != std::string::npos) ++count;
+  }
+  return count;
+}
+
+TEST(ObsSpan, ConstructionStagesEmitOneSpanPerStageRun) {
+  // An oracle build runs the hop set → H stage once and the tree and
+  // index builds once per tree, at any thread count; the spans carry the
+  // ledger names of each construction stage.
+  const ObsGuard guard;
+  const ThreadGuard threads;
+  Rng rng(77);
+  const auto g = make_gnm(96, 288, {1.0, 9.0}, rng);
+  constexpr std::size_t kTrees = 3;
+  serve::EnsembleOptions opts;
+  opts.trees = kTrees;
+  opts.pipeline = serve::EnsemblePipeline::oracle;
+  for (const int t : {1, 4}) {
+    set_num_threads(t);
+    obs::ObsConfig cfg;
+    cfg.trace = true;
+    cfg.trace_events_per_thread = std::size_t{1} << 16;  // no ring wrap
+    obs::configure(cfg);
+    obs::trace_sink().clear();
+    (void)serve::FrtEnsemble::build(g, 78, opts);
+    obs::configure({});
+    EXPECT_EQ(obs::trace_sink().dropped(), 0u);
+    std::ostringstream os;
+    obs::trace_sink().write_chrome_trace(os);
+    const std::string text = os.str();
+    EXPECT_EQ(count_trace_events(text, "hopset.build"), 1u) << t;
+    EXPECT_EQ(count_trace_events(text, "simgraph.build"), 1u) << t;
+    EXPECT_EQ(count_trace_events(text, "frt.tree_build"), kTrees) << t;
+    EXPECT_EQ(count_trace_events(text, "index.build"), kTrees) << t;
+  }
+}
+
 #endif  // PMTE_OBS
 
 // ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@
 namespace pmte {
 namespace {
 
-SimulatedGraph make_h(const Graph& g, double eps_hat, std::uint64_t seed) {
+SimulatedGraph simulated_h(const Graph& g, double eps_hat, std::uint64_t seed) {
   return test::make_test_simgraph(g, seed, /*exact_hopset=*/true, eps_hat);
 }
 
@@ -34,7 +34,7 @@ TEST_P(OracleEquivalence, LeListsMatchExplicitH) {
   const auto g = make_gnm(40, 90, {1.0, 4.0}, rng);
   // ε̂ = 0 keeps all level scales exactly 1.0, so floating-point results
   // on the implicit and explicit sides are bit-identical.
-  const auto h = make_h(g, 0.0, GetParam() + 1);
+  const auto h = simulated_h(g, 0.0, GetParam() + 1);
   const auto explicit_h = h.materialize(true);
   const auto order = VertexOrder::random(40, rng);
   const LeListAlgebra alg;
@@ -52,7 +52,7 @@ TEST_P(OracleEquivalence, LeListsMatchWithPenalties) {
   Rng rng(GetParam() + 50);
   const auto g = make_gnm(32, 70, {1.0, 3.0}, rng);
   const double eps = 0.25;
-  const auto h = make_h(g, eps, GetParam() + 51);
+  const auto h = simulated_h(g, eps, GetParam() + 51);
   const auto explicit_h = h.materialize(true);
   const auto order = VertexOrder::random(32, rng);
   const LeListAlgebra alg;
@@ -73,7 +73,7 @@ TEST_P(OracleEquivalence, LeListsMatchWithPenalties) {
 TEST_P(OracleEquivalence, SourceDetectionMatchesExplicitH) {
   Rng rng(GetParam() + 100);
   const auto g = make_gnm(36, 80, {1.0, 5.0}, rng);
-  const auto h = make_h(g, 0.0, GetParam() + 101);
+  const auto h = simulated_h(g, 0.0, GetParam() + 101);
   const auto explicit_h = h.materialize(true);
   SourceDetectionAlgebra alg{.k = 4, .max_dist = inf_weight()};
   std::vector<DistanceMap> x0(36);
@@ -95,7 +95,7 @@ TEST(Oracle, ForestFireOnHMatchesExplicit) {
   // dist(·, S, H) during candidate sampling — exercise that combination.
   Rng rng(21);
   const auto g = make_gnm(30, 64, {1.0, 3.0}, rng);
-  const auto h = make_h(g, 0.0, 22);
+  const auto h = simulated_h(g, 0.0, 22);
   const auto explicit_h = h.materialize(true);
   ScalarDistanceAlgebra alg;  // unbounded radius
   std::vector<Weight> x0(30, inf_weight());
@@ -140,7 +140,7 @@ TEST(Oracle, HopBoundGreaterThanOne) {
 TEST(Oracle, StatsAreAccounted) {
   Rng rng(8);
   const auto g = make_gnm(24, 50, {1.0, 2.0}, rng);
-  const auto h = make_h(g, 0.0, 9);
+  const auto h = simulated_h(g, 0.0, 9);
   const LeListAlgebra alg;
   const auto order = VertexOrder::random(24, rng);
   // The reference (Jacobi) semantics of Equation (5.9): every level runs
@@ -260,7 +260,7 @@ TEST(LevelReuse, OracleMatchesBruteForceOnSmallGraphs) {
   // set and ε̂ = 0 make H's metric equal G's.
   const auto corpus = test::small_graph_corpus(12, 7100);
   for (const auto& c : corpus) {
-    const auto h = make_h(c.graph, 0.0, c.seed);
+    const auto h = simulated_h(c.graph, 0.0, c.seed);
     Rng rng(c.seed + 1);
     const auto order = VertexOrder::random(c.graph.num_vertices(), rng);
     const auto le = le_lists_oracle(h, order);

@@ -584,5 +584,47 @@ TEST(Serialize, StreamLoadedEnsembleOutlivesStreamAndRetirement) {
             0);
 }
 
+TEST(Serialize, CopyOfMappedEnsembleOwnsItsArrays) {
+  // A copy deep-copies every index section, so it must not also pin the
+  // source's mapping: it owns its arrays, reports no mapping, and keeps
+  // serving (under ASan) after the original and its mapping are gone.
+  const auto g = test::support_graph("gnm", 64, 65);
+  const auto built = serve::FrtEnsemble::build(g, 65, tiny_options(2));
+  std::vector<std::pair<Vertex, Vertex>> pairs;
+  Rng qrng(66);
+  for (int i = 0; i < 128; ++i) {
+    pairs.emplace_back(static_cast<Vertex>(qrng.below(64)),
+                       static_cast<Vertex>(qrng.below(64)));
+  }
+  std::vector<Weight> expect;
+  (void)built.query_batch(pairs, serve::AggregatePolicy::min, expect);
+
+  std::optional<serve::FrtEnsemble> copy;
+  serve::FrtEnsemble assigned;
+  {
+    const TempFile f("test_serialize_copy.tmp", save_bytes(built));
+    std::optional<serve::FrtEnsemble> original;
+    original.emplace(serve::FrtEnsemble::load_mapped(f.path()));
+    ASSERT_TRUE(original->is_mapped());
+    copy.emplace(*original);
+    assigned = *original;
+    EXPECT_TRUE(*copy == *original);
+    EXPECT_TRUE(assigned == *original);
+    original.reset();
+  }  // original dropped, file removed: only the copies remain
+  for (const serve::FrtEnsemble* e : {&*copy, &assigned}) {
+    EXPECT_FALSE(e->is_mapped());
+    EXPECT_EQ(e->mapped_bytes(), 0u);
+    EXPECT_FALSE(e->index(0).is_view());
+    EXPECT_TRUE(*e == built);
+    std::vector<Weight> out;
+    (void)e->query_batch(pairs, serve::AggregatePolicy::min, out);
+    ASSERT_EQ(out.size(), expect.size());
+    EXPECT_EQ(std::memcmp(out.data(), expect.data(),
+                          out.size() * sizeof(Weight)),
+              0);
+  }
+}
+
 }  // namespace
 }  // namespace pmte
