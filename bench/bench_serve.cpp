@@ -23,6 +23,7 @@
 #include "src/serve/hot_pair_cache.hpp"
 #include "src/serve/stretch_report.hpp"
 #include "src/serve/workloads.hpp"
+#include "src/util/temp_file.hpp"
 
 namespace pmte::bench {
 namespace {
@@ -136,7 +137,9 @@ std::vector<CounterScenario> load_scenarios(const serve::FrtEnsemble& e,
                                             const Graph& g,
                                             std::size_t pairs,
                                             std::uint64_t seed) {
-  const std::string path = "bench_serve_load.tmp";
+  // Unique per process: concurrent runs must not share (and truncate) the
+  // file one of them has mapped.
+  const std::string path = make_unique_temp_file("bench_serve_load");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     e.save(out);
@@ -167,6 +170,7 @@ std::vector<CounterScenario> load_scenarios(const serve::FrtEnsemble& e,
   {
     serve::reset_load_path_counters();
     const auto mapped = serve::FrtEnsemble::load_mapped(path);
+    std::remove(path.c_str());  // the mapping keeps the inode alive
     const auto lc = serve::load_path_counters();
     rows.push_back(CounterScenario{
         "serve_load_mapped",
@@ -174,7 +178,6 @@ std::vector<CounterScenario> load_scenarios(const serve::FrtEnsemble& e,
          {"bulk_bytes_copied", lc.bulk_bytes_copied},
          {"result_hash32", replay_hash(mapped)}}});
   }
-  std::remove(path.c_str());
   return rows;
 }
 

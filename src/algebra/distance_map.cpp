@@ -40,8 +40,9 @@ void DistanceMap::add_to_all(Weight s) {
   WorkDepth::add_work(entries_.size());
 }
 
-void DistanceMap::merge_min(const DistanceMap& other, Weight shift) {
-  if (!is_finite(shift) || other.empty()) return;
+template <typename Emit>
+void DistanceMap::merge_with(const DistanceMap& other, Weight shift,
+                             Emit emit) {
   WorkDepth::add_work(entries_.size() + other.entries_.size());
   // The merge is the innermost operation of every MBF-like iteration; a
   // thread-local scratch buffer avoids an allocation per relaxation.
@@ -53,21 +54,21 @@ void DistanceMap::merge_min(const DistanceMap& other, Weight shift) {
     const auto& a = entries_[i];
     const DistEntry b{other.entries_[j].key, other.entries_[j].dist + shift};
     if (a.key < b.key) {
-      scratch.push_back(a);
+      emit(scratch, a);
       ++i;
     } else if (b.key < a.key) {
-      scratch.push_back(b);
+      emit(scratch, b);
       ++j;
     } else {
-      scratch.push_back(DistEntry{a.key, std::min(a.dist, b.dist)});
+      emit(scratch, DistEntry{a.key, std::min(a.dist, b.dist)});
       ++i;
       ++j;
     }
   }
-  for (; i < entries_.size(); ++i) scratch.push_back(entries_[i]);
+  for (; i < entries_.size(); ++i) emit(scratch, entries_[i]);
   for (; j < other.entries_.size(); ++j)
-    scratch.push_back(
-        DistEntry{other.entries_[j].key, other.entries_[j].dist + shift});
+    emit(scratch,
+         DistEntry{other.entries_[j].key, other.entries_[j].dist + shift});
 #if PMTE_TSAN_ACTIVE
   // swap() would hand the map a buffer allocated by this worker thread and
   // park the map's old buffer in this thread's TLS, where the TLS destructor
@@ -78,6 +79,31 @@ void DistanceMap::merge_min(const DistanceMap& other, Weight shift) {
 #else
   entries_.swap(scratch);  // scratch keeps its capacity for the next merge
 #endif
+}
+
+void DistanceMap::merge_min(const DistanceMap& other, Weight shift) {
+  if (!is_finite(shift) || other.empty()) return;
+  merge_with(other, shift, [](std::vector<DistEntry>& out, const DistEntry& e) {
+    out.push_back(e);
+  });
+}
+
+void DistanceMap::merge_least_elements(const DistanceMap& other,
+                                       Weight shift) {
+  if (!is_finite(shift) || other.empty()) {
+    keep_least_elements();  // r(x ⊕ ⊥) = r(x)
+    return;
+  }
+  // Scanning x ⊕ s⊙y in key order, an entry is dominated iff a smaller key
+  // already reached a dist <= its own — so keep the strict running minima.
+  Weight least = inf_weight();
+  merge_with(other, shift,
+             [&least](std::vector<DistEntry>& out, const DistEntry& e) {
+               if (e.dist < least) {
+                 least = e.dist;
+                 out.push_back(e);
+               }
+             });
 }
 
 void DistanceMap::drop_beyond(Weight bound) {
@@ -104,24 +130,19 @@ void DistanceMap::keep_k_smallest(std::size_t k) {
 void DistanceMap::keep_least_elements() {
   if (entries_.size() <= 1) return;
   WorkDepth::add_work(entries_.size());
-  // Sort a copy by (dist, key); keep entries whose key is a strict running
-  // minimum (Lemma 7.7's tournament, done with one sort + scan).
-  std::vector<DistEntry> by_dist(entries_.begin(), entries_.end());
-  std::sort(by_dist.begin(), by_dist.end(),
-            [](const DistEntry& a, const DistEntry& b) {
-              return a.dist < b.dist || (a.dist == b.dist && a.key < b.key);
-            });
-  entries_.clear();
-  Vertex min_key = no_vertex();
-  for (const auto& e : by_dist) {
-    if (e.key < min_key) {
-      min_key = e.key;
-      entries_.push_back(e);
+  // Entries are key-sorted, so (key, dist) is dominated iff an earlier
+  // entry has dist <= its own: keep the strict running minima of dist
+  // (Lemma 7.7's tournament as one in-place scan; ties go to the smaller
+  // key).  All dists are finite, so the first entry always survives.
+  Weight least = inf_weight();
+  auto out = entries_.begin();
+  for (const auto& e : entries_) {
+    if (e.dist < least) {
+      least = e.dist;
+      *out++ = e;
     }
   }
-  // Surviving entries have ascending dist and strictly descending key;
-  // restore the sorted-by-key invariant by reversing.
-  std::reverse(entries_.begin(), entries_.end());
+  entries_.erase(out, entries_.end());
 }
 
 bool DistanceMap::is_least_element_list() const noexcept {

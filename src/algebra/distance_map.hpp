@@ -12,6 +12,10 @@
 //   ⊕  merge_min       — pointwise minimum (sorted merge)
 //   s⊙ add_to_all      — uniform shift by the propagation distance
 //   ⊥  the empty map   — all-∞ vector
+// and, for the LE-list algebra (Definition 7.3), the filtered ⊕:
+//   r(x ⊕ s⊙y)  merge_least_elements — the same sorted merge, emitting only
+//               the least elements (legal after every ⊕ because r is a
+//               congruence, Corollary 2.17 / Lemma 7.5)
 
 #include <span>
 #include <vector>
@@ -64,6 +68,14 @@ class DistanceMap {
   /// to `other`'s entries on the fly, fusing s⊙y ⊕ x into one pass.
   void merge_min(const DistanceMap& other, Weight shift = 0.0);
 
+  /// r(x ⊕ shift⊙other) into *this, r the LE filter of
+  /// keep_least_elements: one key-ordered merge pass that emits an entry
+  /// only when its dist is a strict new running minimum.  Equal to
+  /// merge_min(other, shift) followed by keep_least_elements() for any
+  /// operands (neither needs to be a staircase), but the merged union is
+  /// never materialised.
+  void merge_least_elements(const DistanceMap& other, Weight shift = 0.0);
+
   /// Remove all entries with dist > bound (used by distance-bounded
   /// filters; ⊥-preserving).
   void drop_beyond(Weight bound);
@@ -74,7 +86,9 @@ class DistanceMap {
 
   /// Keep only entries whose key is *not dominated*: entry (key, dist) is
   /// dominated iff some other entry (key', dist') has key' < key and
-  /// dist' <= dist.  This is the LE-list filter r of Definition 7.3.
+  /// dist' <= dist.  This is the LE-list filter r of Definition 7.3: one
+  /// in-place scan in key order keeping the strict running minima of dist
+  /// (a tie on dist goes to the smaller key).
   /// Postcondition: sorted by key ascending ⇔ dist descending (staircase).
   void keep_least_elements();
 
@@ -86,6 +100,12 @@ class DistanceMap {
   friend bool operator==(const DistanceMap&, const DistanceMap&) = default;
 
  private:
+  // The sorted merge shared by merge_min and merge_least_elements: every
+  // pointwise-minimum entry of x ⊕ shift⊙other is offered, in key order,
+  // to emit(out, entry), which decides whether it is kept.
+  template <typename Emit>
+  void merge_with(const DistanceMap& other, Weight shift, Emit emit);
+
   std::vector<DistEntry> entries_;
 };
 

@@ -78,6 +78,7 @@
 #include "src/serve/workloads.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/stats.hpp"
+#include "src/util/temp_file.hpp"
 #include "src/util/timer.hpp"
 
 namespace {
@@ -398,18 +399,20 @@ int main(int argc, char** argv) {
   if (cli.has("mmap")) {
     // Map an existing artefact when one is on disk (--load, or the file
     // --save just wrote — both must be v3 for the mapped reader);
-    // otherwise persist to a temp file named after the registry
-    // fingerprint and unlink it right after mapping (POSIX keeps the
+    // otherwise persist to a per-process unique temp file (concurrent runs
+    // must not truncate each other's mapping) named after the registry
+    // fingerprint, and unlink it right after mapping (POSIX keeps the
     // inode alive for the mapping's lifetime).
     std::string map_path = !load_path.empty() ? load_path : save_path;
     bool unlink_after = false;
     if (map_path.empty()) {
-      map_path = "pmte_mmap_" + fp_hex(ensemble.registry_fingerprint()) +
-                 ".tmp";
+      map_path = make_unique_temp_file(
+          "pmte_mmap_" + fp_hex(ensemble.registry_fingerprint()));
       std::ofstream tmp(map_path,
                         std::ios::binary | std::ios::trunc);
       if (!tmp) {
         std::cerr << "cannot open " << map_path << " for writing\n";
+        std::remove(map_path.c_str());
         return 1;
       }
       ensemble.save(tmp);

@@ -37,7 +37,10 @@ struct VertexOrder {
 };
 
 /// The MBF-like algebra of Definition 7.3: distance maps with the
-/// least-element filter.
+/// least-element filter.  r is a congruence (Lemma 7.5: r(x ⊕ y) =
+/// r(r(x) ⊕ y)), so relax and aggregate filter while they merge: after
+/// its first merge an accumulator holds a staircase, never the union of
+/// every incoming list, and the closing filter() only re-scans it.
 struct LeListAlgebra {
   using State = DistanceMap;
 
@@ -45,10 +48,12 @@ struct LeListAlgebra {
 
   void relax(State& acc, Weight w, Vertex /*from*/, Vertex /*to*/,
              const State& x_from) const {
-    acc.merge_min(x_from, w);
+    acc.merge_least_elements(x_from, w);
   }
 
-  void aggregate(State& acc, const State& y) const { acc.merge_min(y); }
+  void aggregate(State& acc, const State& y) const {
+    acc.merge_least_elements(y);
+  }
 
   void filter(State& x) const { x.keep_least_elements(); }
 

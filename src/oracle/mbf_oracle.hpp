@@ -167,23 +167,6 @@ class MbfOracle {
     last_scan_.assign(levels, 0);
   }
 
-  /// One H-iteration.  With reuse: a Gauss–Seidel sweep whose input `x`
-  /// must be the previous step()'s return value, with `changed` the sorted
-  /// vertex list where the caller's x differs from it (nullptr = treat
-  /// every vertex as changed).  Without reuse: the Jacobi reference
-  /// operator of Equation (5.9), x ↦ r^V ⊕_λ P_λ (r^V A_λ)^d P_λ x.
-  [[nodiscard]] std::vector<State> step(
-      const std::vector<State>& x,
-      const std::vector<Vertex>* changed = nullptr) {
-    PMTE_CHECK(x.size() == h_->base().num_vertices(),
-               "MbfOracle::step: state size mismatch");
-    ++stats_.h_iterations;
-    PMTE_OBS_SPAN("oracle.step",
-                  static_cast<std::int64_t>(stats_.h_iterations),
-                  "h_iteration");
-    return opts_.oracle_level_reuse ? sweep(x, changed) : jacobi_step(x);
-  }
-
   /// Outcome of run_to_fixpoint.
   struct FixpointRun {
     unsigned iterations = 0;  ///< H-iterations executed
@@ -240,9 +223,9 @@ class MbfOracle {
   /// the only vertices whose *offers* changed while their states did not,
   /// so they are forced into every level's frontier on the next sweep and
   /// the absorbed-input skips are suppressed until each level has re-run
-  /// once.  Continue with step(x, &empty) — an empty changed list, not
-  /// nullptr: the states did not change, the weights did — until the
-  /// changed set drains (run_to_fixpoint(x, &empty, cap)).
+  /// once.  Continue with run_to_fixpoint(x, &empty, cap) — an empty
+  /// changed list, not nullptr: the states did not change, the weights
+  /// did.
   ///
   /// An increase can strand too-strong cached entries that monotone
   /// iteration cannot revoke, so the oracle resets to its freshly
@@ -270,8 +253,8 @@ class MbfOracle {
 
   /// Reset every cache and stamp to the freshly-constructed state (only
   /// stats_ stays cumulative — snapshot it around the call to difference).
-  /// The next step(x⁽⁰⁾, nullptr) sequence is bit-identical to a brand-new
-  /// oracle on the graph's current weights.
+  /// The next run_to_fixpoint(x⁽⁰⁾, nullptr, cap) is bit-identical to a
+  /// brand-new oracle's on the graph's current weights.
   void invalidate_all() {
     for (auto& c : cache_) c.clear();
     std::fill(cache_state_.begin(), cache_state_.end(), CacheState::kEmpty);
@@ -286,6 +269,23 @@ class MbfOracle {
 
  private:
   enum class CacheState : std::uint8_t { kEmpty, kTruncated, kFixpoint };
+
+  /// One H-iteration.  With reuse: a Gauss–Seidel sweep whose input `x`
+  /// must be the previous step()'s return value, with `changed` the sorted
+  /// vertex list where x differs from the states the previous step() was
+  /// given (nullptr = treat every vertex as changed) — run_to_fixpoint
+  /// threads both.  Without reuse: the Jacobi reference operator of
+  /// Equation (5.9), x ↦ r^V ⊕_λ P_λ (r^V A_λ)^d P_λ x.
+  [[nodiscard]] std::vector<State> step(const std::vector<State>& x,
+                                        const std::vector<Vertex>* changed) {
+    PMTE_CHECK(x.size() == h_->base().num_vertices(),
+               "MbfOracle::step: state size mismatch");
+    ++stats_.h_iterations;
+    PMTE_OBS_SPAN("oracle.step",
+                  static_cast<std::int64_t>(stats_.h_iterations),
+                  "h_iteration");
+    return opts_.oracle_level_reuse ? sweep(x, changed) : jacobi_step(x);
+  }
 
   static MbfOptions engine_options(MbfOptions opts) {
     // Per-level inputs are filtered (P_λ preserves that: r ⊥ = ⊥, r

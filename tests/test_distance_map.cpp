@@ -9,6 +9,7 @@
 
 #include "src/algebra/axioms.hpp"
 #include "src/algebra/distance_map.hpp"
+#include "src/parallel/counters.hpp"
 #include "src/util/rng.hpp"
 
 namespace pmte {
@@ -127,6 +128,48 @@ TEST(DistanceMap, LeFilterIdempotent) {
     auto twice = m;
     twice.keep_least_elements();
     EXPECT_EQ(m, twice);  // Observation 2.7: r² = r
+  }
+}
+
+TEST(DistanceMap, MergeLeastElementsKeepsStrictRunningMinima) {
+  // x ⊕ 1⊙y = {(0,10), (1,5), (2,2), (3,2)}: (3,2) ties (2,2) on dist and
+  // loses to the smaller key.
+  auto x = DistanceMap::from_entries({{1, 5.0}, {3, 2.0}});
+  const auto y = DistanceMap::from_entries({{0, 9.0}, {2, 1.0}});
+  x.merge_least_elements(y, 1.0);
+  EXPECT_EQ(x, DistanceMap::from_entries({{0, 10.0}, {1, 5.0}, {2, 2.0}}));
+  EXPECT_TRUE(x.is_least_element_list());
+}
+
+TEST(DistanceMap, MergeLeastElementsMatchesMergeThenFilter) {
+  // The fused r(x ⊕ s⊙y) against merge_min + keep_least_elements on
+  // tie-heavy maps (integral dists): shifts 0, ∞ and random, forced empty
+  // operands, and *this both raw (rarely a staircase) and pre-filtered.
+  Rng rng(34);
+  for (int trial = 0; trial < 400; ++trial) {
+    auto x = trial % 10 == 0 ? DistanceMap{} : random_map(rng, 12, 10);
+    const auto y = trial % 10 == 1 ? DistanceMap{} : random_map(rng, 12, 10);
+    if (trial % 4 == 3) x.keep_least_elements();
+    const Weight shift = trial % 7 == 0   ? 0.0
+                         : trial % 7 == 1 ? inf_weight()
+                                          : std::floor(rng.uniform(0.0, 6.0));
+    auto expect = x;
+    expect.merge_min(y, shift);
+    expect.keep_least_elements();
+
+    auto fused = x;
+    const WorkDepthScope scope;
+    fused.merge_least_elements(y, shift);
+    ASSERT_EQ(fused, expect) << "trial " << trial;
+    EXPECT_TRUE(fused.is_least_element_list()) << "trial " << trial;
+    if (is_finite(shift) && !y.empty()) {
+      // One pass over both operands, whatever survives.
+      EXPECT_EQ(scope.work_delta(), x.size() + y.size()) << "trial " << trial;
+    } else {
+      // s⊙y = ⊥: only r(x) is left, the filter's own scan.
+      EXPECT_EQ(scope.work_delta(), x.size() > 1 ? x.size() : 0U)
+          << "trial " << trial;
+    }
   }
 }
 

@@ -7,6 +7,10 @@
 #include "src/frt/le_lists.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/shortest_paths.hpp"
+#include "src/oracle/mbf_oracle.hpp"
+#include "src/parallel/counters.hpp"
+#include "src/parallel/parallel.hpp"
+#include "tests/support/fixtures.hpp"
 #include "tests/support/reference.hpp"
 
 namespace pmte {
@@ -121,6 +125,70 @@ TEST(LeLists, IdentityOrderOnPath) {
       EXPECT_DOUBLE_EQ(le.lists[v].at(w), static_cast<double>(v - w));
     }
   }
+}
+
+TEST(LeLists, FusedMergeMatchesMergeThenFilter) {
+  // LeListAlgebra filters inside every merge; the reference algebra merges
+  // the plain union and filters once per vertex.  By the congruence of r
+  // (Lemma 7.5) the engine and oracle fixpoints, relaxations and
+  // iterations must be bit-identical at every thread count — only the
+  // logical work may fall, since fused accumulators carry no dominated
+  // entries.
+  const int restore = num_threads();
+  const auto corpus = test::small_graph_corpus(50, 7300);
+  const LeListAlgebra fused;
+  const test::MergeThenFilterLeAlgebra reference;
+  const auto expect_same = [](const auto& a, const auto& b,
+                              const std::string& what) {
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t v = 0; v < a.size(); ++v) {
+      EXPECT_EQ(a[v], b[v]) << what << " vertex " << v;
+    }
+  };
+  for (const int threads : {1, 2, 8}) {
+    set_num_threads(threads);
+    for (const auto& c : corpus) {
+      const std::string what = c.name + " @ " + std::to_string(threads);
+      Rng rng(c.seed + 1);
+      const auto order = VertexOrder::random(c.graph.num_vertices(), rng);
+      const auto x0 = le_initial_state(order);
+      const Vertex n = c.graph.num_vertices();
+
+      const WorkDepthScope ref_engine;
+      const auto ref_run = mbf_run(c.graph, reference, x0, n);
+      const auto ref_relax = ref_engine.relaxations_delta();
+      const auto ref_work = ref_engine.work_delta();
+      const WorkDepthScope fused_engine;
+      const auto run = mbf_run(c.graph, fused, x0, n);
+      ASSERT_TRUE(run.reached_fixpoint) << what;
+      EXPECT_EQ(run.iterations, ref_run.iterations) << what;
+      EXPECT_EQ(fused_engine.relaxations_delta(), ref_relax) << what;
+      EXPECT_LE(fused_engine.work_delta(), ref_work) << what;
+      expect_same(run.states, ref_run.states, "engine " + what);
+
+      // The oracle also aggregates per-level outputs with the fused ⊕.
+      const auto h = test::make_test_simgraph(c.graph, c.seed,
+                                              /*exact_hopset=*/false,
+                                              /*eps_hat=*/0.07);
+      const unsigned cap = default_h_iteration_cap(n);
+      OracleStats ref_stats;
+      OracleStats stats;
+      const WorkDepthScope ref_oracle;
+      const auto ref_h = oracle_run(h, reference, x0, cap, &ref_stats);
+      const auto ref_h_relax = ref_oracle.relaxations_delta();
+      const WorkDepthScope fused_oracle;
+      const auto on_h = oracle_run(h, fused, x0, cap, &stats);
+      ASSERT_TRUE(on_h.reached_fixpoint) << what;
+      EXPECT_EQ(on_h.iterations, ref_h.iterations) << what;
+      EXPECT_EQ(stats.base_iterations, ref_stats.base_iterations) << what;
+      EXPECT_EQ(stats.levels_skipped, ref_stats.levels_skipped) << what;
+      EXPECT_EQ(stats.levels_warm, ref_stats.levels_warm) << what;
+      EXPECT_EQ(stats.levels_full, ref_stats.levels_full) << what;
+      EXPECT_EQ(fused_oracle.relaxations_delta(), ref_h_relax) << what;
+      expect_same(on_h.states, ref_h.states, "oracle " + what);
+    }
+  }
+  set_num_threads(restore);
 }
 
 TEST(LeLists, OrderSizeMismatchThrows) {
