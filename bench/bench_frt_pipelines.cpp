@@ -9,26 +9,56 @@
 // `--counters` instead emits deterministic WorkDepth scenarios for the CI
 // bench gate: full FRT sampling through the level-reusing oracle on the
 // 2048-path / 45×45-grid, plus reuse-vs-reference at 512 so the saved
-// relaxations stay visible in the committed baseline.
+// relaxations stay visible in the committed baseline.  The reference is
+// the Jacobi oracle of tests/support/mbf_reference.hpp.
 
+#include <algorithm>
 #include <cmath>
 
 #include "bench/bench_common.hpp"
 #include "src/frt/pipelines.hpp"
 #include "src/graph/shortest_paths.hpp"
 #include "src/parallel/counters.hpp"
+#include "tests/support/mbf_reference.hpp"
 
 namespace pmte::bench {
 namespace {
 
+/// P-H with the Jacobi reference in place of MbfOracle.  Randomness is
+/// drawn in sample_frt_oracle's order (hop set and H, then β and the
+/// vertex order), so the rows after it see the same RNG stream.
+FrtSample sample_frt_jacobi(const Graph& g, Rng& rng) {
+  const Timer timer;
+  const WorkDepthScope scope;
+  const FrtOptions opts;
+  const auto h = build_oracle_graph(g, opts.hopset, opts.eps_hat, rng);
+  const auto draw = sample_frt_randomness(g.num_vertices(), rng);
+  const auto le = test::jacobi_le_lists(h, draw.order);
+  FrtSample s;
+  s.tree = FrtTree::build(le.lists, draw.order, draw.beta, dist_hint(h.base()),
+                          opts.rule);
+  s.beta = draw.beta;
+  s.order = draw.order;
+  s.iterations = le.iterations;
+  s.base_iterations = le.base_iterations;
+  s.levels_full = le.levels_full;
+  s.hopset_edges = h.hopset_edges();
+  for (const auto& l : le.lists) {
+    s.max_list_length = std::max(s.max_list_length, l.size());
+  }
+  s.work = scope.work_delta();
+  s.relaxations = scope.relaxations_delta();
+  s.edges_touched = scope.edges_touched_delta();
+  s.seconds = timer.seconds();
+  return s;
+}
+
 CounterScenario frt_oracle_scenario(const std::string& name, const Graph& g,
-                                    std::uint64_t seed, bool level_reuse) {
+                                    std::uint64_t seed, bool jacobi = false) {
   Rng rng(seed);
   WorkDepth::reset();
-  FrtOptions opts;
-  opts.mbf.oracle_level_reuse = level_reuse;
   const WorkDepthScope scope;
-  const auto s = sample_frt_oracle(g, rng, opts);
+  const auto s = jacobi ? sample_frt_jacobi(g, rng) : sample_frt_oracle(g, rng);
   return CounterScenario{name,
                          {{"relaxations", s.relaxations},
                           {"edges_touched", s.edges_touched},
@@ -58,14 +88,14 @@ CounterScenario frt_direct_scenario(const std::string& name, const Graph& g,
 void run_counters() {
   std::vector<CounterScenario> scenarios;
   scenarios.push_back(
-      frt_oracle_scenario("frt_oracle_path_2048", make_path(2048), 2001, true));
+      frt_oracle_scenario("frt_oracle_path_2048", make_path(2048), 2001));
   scenarios.push_back(frt_oracle_scenario(
-      "frt_oracle_grid_2025", make_grid(45, 45, {1.0, 2.0}, Rng(42)), 2002,
-      true));
+      "frt_oracle_grid_2025", make_grid(45, 45, {1.0, 2.0}, Rng(42)), 2002));
   scenarios.push_back(frt_oracle_scenario("frt_oracle_path_512_noreuse",
-                                          make_path(512), 2003, false));
+                                          make_path(512), 2003,
+                                          /*jacobi=*/true));
   scenarios.push_back(
-      frt_oracle_scenario("frt_oracle_path_512", make_path(512), 2003, true));
+      frt_oracle_scenario("frt_oracle_path_512", make_path(512), 2003));
   scenarios.push_back(
       frt_direct_scenario("frt_direct_path_2048", make_path(2048), 2004));
   emit_counters(std::cout, scenarios);
@@ -104,11 +134,7 @@ void run(const Cli& cli) {
 
       report(inst, "P-G direct", sample_frt_direct(g, rng));
       report(inst, "P-H oracle", sample_frt_oracle(g, rng));
-      {
-        FrtOptions noreuse;
-        noreuse.mbf.oracle_level_reuse = false;
-        report(inst, "P-H no-reuse", sample_frt_oracle(g, rng, noreuse));
-      }
+      report(inst, "P-H no-reuse", sample_frt_jacobi(g, rng));
       {
         // P-M: the Ω(n²) metric has to be produced first — its cost is
         // part of the pipeline (n Dijkstras here, a metric oracle in [10]).

@@ -1,17 +1,7 @@
 // serve_queries — build (or load) a flat FRT-ensemble distance index and
 // replay a query workload against it, reporting throughput.
-//
-//   ./serve_queries [--graph=gnm] [--n=4096] [--seed=42] [--trees=8]
-//                   [--pipeline=oracle|direct|sequential]
-//                   [--policy=min|median]
-//                   [--workload=uniform|bfs_local|zipf] [--queries=200000]
-//                   [--zipf-s=1.1] [--repeat=3]
-//                   [--cache] [--cache-capacity=65536]
-//                   [--save=FILE] [--load=FILE] [--threads=N] [--roundtrip]
-//                   [--mmap] [--stretch]
-//                   [--tenants=N [--batches=8] [--swap-at=BATCH]
-//                    [--update-file=FILE]]
-//                   [--metrics-out=FILE] [--trace-out=FILE]
+// `serve_queries --help` prints the flag list (kUsage below) and exits
+// before building anything.
 //
 // The embedding lifecycle end to end: sample k FRT trees (one master
 // seed, split per tree), compact them into O(1)-query FrtIndex layouts,
@@ -84,6 +74,19 @@
 namespace {
 
 using namespace pmte;
+
+constexpr const char* kUsage =
+    "usage: serve_queries [--graph=gnm] [--n=4096] [--seed=42] [--trees=8]\n"
+    "                     [--pipeline=oracle|direct|sequential]\n"
+    "                     [--policy=min|median]\n"
+    "                     [--workload=uniform|bfs_local|zipf]\n"
+    "                     [--queries=200000] [--zipf-s=1.1] [--repeat=3]\n"
+    "                     [--cache] [--cache-capacity=65536]\n"
+    "                     [--save=FILE] [--load=FILE] [--threads=N]\n"
+    "                     [--roundtrip] [--mmap] [--stretch]\n"
+    "                     [--tenants=N [--batches=8] [--swap-at=BATCH]\n"
+    "                      [--update-file=FILE]]\n"
+    "                     [--metrics-out=FILE] [--trace-out=FILE]\n";
 
 serve::EnsemblePipeline parse_pipeline(const std::string& name) {
   if (name == "oracle") return serve::EnsemblePipeline::oracle;
@@ -308,6 +311,10 @@ int run_tenant_scenario(const Graph& g, serve::FrtEnsemble base,
 
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
+  if (cli.has("help")) {
+    std::cout << kUsage;
+    return 0;
+  }
   const auto threads = cli.get_int("threads", 0);
   if (threads > 0) set_num_threads(static_cast<int>(threads));
 

@@ -89,9 +89,10 @@ struct LeListsResult {
 
 /// The paper's pipeline (Theorem 7.9): run the LE algebra on the simulated
 /// graph H through the oracle — O(log² n) H-iterations w.h.p.  Levels are
-/// reused across H-iterations (skips + warm restarts, see mbf_oracle.hpp);
-/// pass `opts` with `oracle_level_reuse = false` for the pre-reuse
-/// reference path (bit-identical lists, asymptotically more relaxations).
+/// reused across H-iterations (skips + warm restarts, see mbf_oracle.hpp).
+/// Of `opts` the oracle reads only `mode` (kAuto runs sparse, kDense
+/// forces dense rounds); the Jacobi operator of Equation (5.9) lives in
+/// tests/support/mbf_reference.hpp as the differential reference.
 [[nodiscard]] LeListsResult le_lists_oracle(const SimulatedGraph& h,
                                             const VertexOrder& order,
                                             unsigned max_h_iterations = 0,

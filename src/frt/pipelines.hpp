@@ -35,8 +35,7 @@ struct FrtOptions {
   double eps_hat = 0.0;
   HubHopSetParams hopset;
   unsigned max_iterations = 0;  ///< 0 = automatic bound
-  /// Engine/oracle tunables (P-H pipeline): mode, density threshold, and
-  /// `oracle_level_reuse` — false selects the pre-reuse reference oracle.
+  /// Oracle tunables (P-H pipeline): only `mode` reaches the oracle.
   MbfOptions mbf;
 };
 

@@ -71,39 +71,6 @@ concept MbfAlgebra = requires(const A& alg, typename A::State& acc,
   { alg.equal(x, x) } -> std::convertible_to<bool>;
 };
 
-/// One MBF-like iteration x ↦ r^V(A x); `weight_scale` numerically scales
-/// edge weights before they enter the semiring — this realises the
-/// stretched matrices A_λ = (1+ε̂)^{Λ−λ} · A_G of Lemma 5.1.  With
-/// `apply_filter == false` the raw product A x is returned (the framework
-/// guarantees both variants are ~-equivalent, Corollary 2.17).
-///
-/// This is the dense reference implementation; iterate through MbfEngine /
-/// mbf_run instead when running to a fixpoint.
-template <MbfAlgebra Algebra>
-[[nodiscard]] std::vector<typename Algebra::State> mbf_step(
-    const Graph& g, const Algebra& alg,
-    const std::vector<typename Algebra::State>& x, double weight_scale = 1.0,
-    bool apply_filter = true) {
-  using State = typename Algebra::State;
-  const Vertex n = g.num_vertices();
-  PMTE_CHECK(x.size() == n, "mbf_step: state vector size mismatch");
-  std::vector<State> out(n);
-  parallel_for(n, [&](std::size_t vi) {
-    const auto v = static_cast<Vertex>(vi);
-    State acc = x[vi];  // diagonal: 1 ⊙ x_v = x_v   (2.1)
-    for (const auto& e : g.neighbors(v)) {
-      alg.relax(acc, e.weight * weight_scale, e.to, v, x[e.to]);
-    }
-    if (apply_filter) alg.filter(acc);
-    out[vi] = std::move(acc);
-  });
-  const auto half_edges = static_cast<std::uint64_t>(2 * g.num_edges());
-  WorkDepth::add_relaxations(half_edges);
-  WorkDepth::add_edges_touched(half_edges);
-  WorkDepth::add_depth_serial(1);
-  return out;
-}
-
 /// Apply the filter r^V to every component in parallel.
 template <MbfAlgebra Algebra>
 void mbf_filter(const Algebra& alg,
@@ -114,35 +81,30 @@ void mbf_filter(const Algebra& alg,
 
 /// Iteration mode of MbfEngine.
 enum class MbfMode : std::uint8_t {
-  kAuto,    ///< frontier-driven, dense fallback above the density threshold
-  kDense,   ///< always the dense all-edges pull (the reference behaviour)
-  /// Sparse frontier gathers regardless of density (for tests/ablation).
-  /// The first round after reset() still executes as the dense pull: with
-  /// every vertex in the frontier the two are the same edge set, and the
-  /// dense pull skips the pointless membership tests.
+  kAuto,   ///< frontier-driven, dense fallback above kMbfDenseFraction
+  kDense,  ///< always the dense all-edges pull
+  /// Sparse frontier gathers regardless of density — the oracle's mode
+  /// (mbf_oracle.hpp maps kAuto to it).  The first round after reset()
+  /// still executes as the dense pull: with every vertex in the frontier
+  /// the two are the same edge set, and the dense pull skips the pointless
+  /// membership tests.
   kSparse,
 };
+
+/// kAuto switches to the dense pull when scanning the frontier's incident
+/// edges would touch more than this fraction of all half-edges: sparse
+/// rounds cost Σ_{v affected} deg(v) edge scans, so once the frontier
+/// covers a constant fraction of the graph the dense pull is cheaper and
+/// has no membership tests.
+inline constexpr double kMbfDenseFraction = 0.25;
 
 /// Tunables of MbfEngine.
 struct MbfOptions {
   double weight_scale = 1.0;  ///< edge-weight prescale (Lemma 5.1)
   MbfMode mode = MbfMode::kAuto;
-  /// kAuto switches to the dense pull when scanning the frontier's incident
-  /// edges would touch more than this fraction of all half-edges: sparse
-  /// rounds cost Σ_{v affected} deg(v) edge scans, so once the frontier
-  /// covers a constant fraction of the graph the dense pull is cheaper and
-  /// has no membership tests.
-  double dense_fraction = 0.25;
   /// Apply r^V to x⁽⁰⁾ on construction/reset (harmless by Corollary 2.17;
   /// disable when x⁽⁰⁾ is known to be filtered already).
   bool filter_initial = true;
-  /// Consumed by the oracle (mbf_oracle.hpp), ignored by MbfEngine itself:
-  /// reuse the per-level engine states across H-iterations (warm restarts
-  /// from cached per-level fixpoints, wholesale skips of levels whose
-  /// projected input did not change).  false restores the pre-reuse
-  /// behaviour — a fresh full-frontier run per level — which is kept
-  /// compilable as the reference for differential tests.
-  bool oracle_level_reuse = true;
 };
 
 /// Result of running an MBF-like algorithm to fixpoint / iteration budget.
@@ -242,7 +204,7 @@ class MbfEngine {
             return static_cast<double>(g_->degree(frontier_[i]));
           });
       dense = frontier_deg + static_cast<double>(frontier_.size()) >
-              opts_.dense_fraction *
+              kMbfDenseFraction *
                   static_cast<double>(half_edges + n);
     }
 

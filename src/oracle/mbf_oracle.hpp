@@ -14,14 +14,14 @@
 // The oracle works for any algebra that additionally exposes an aggregation
 // of two states (the module ⊕, needed to sum the per-level partials).
 //
-// == Level reuse (MbfOracle) ==
+// == Gauss–Seidel sweeps with level reuse (MbfOracle) ==
 //
-// The reference evaluation (MbfOptions::oracle_level_reuse = false, the
-// pre-reuse behaviour) is a Jacobi iteration: every H-iteration restarts
-// every level from a dense full-frontier copy of x — Θ(log n) full runs per
-// H-iteration, Θ(log² n) overall, each re-deriving mostly what the previous
-// one already knew.  With reuse enabled, MbfOracle instead computes the
-// *same fixpoint* sparsely:
+// Applied literally, Equation (5.9) is a Jacobi iteration: every
+// H-iteration restarts every level from a full-frontier copy of x — Θ(log n)
+// full runs per H-iteration, Θ(log² n) overall, each re-deriving mostly
+// what the previous one already knew (tests/support/mbf_reference.hpp
+// keeps that operator as the differential reference).  MbfOracle computes
+// the *same fixpoint* sparsely:
 //
 //   * Per-level state caches.  Each level keeps the (unprojected) final
 //     states of its last run.  A run that reached its fixpoint cached the
@@ -38,23 +38,27 @@
 //   * Support-seeded full starts.  P_λ x assigns ⊥ below level λ, and ⊥
 //     makes no offers, so even a full (re)start seeds its frontier with
 //     supp(P_λ x) — for high levels a vanishing fraction of V — instead of
-//     the all-vertices frontier of the reference path.
-//   * Gauss–Seidel sweeps.  One step() is a sweep over the levels in
-//     *descending* order (largest λ first = smallest penalty (1+ε̂)^{Λ−λ}),
-//     merging each level's projected output into the working vector
-//     immediately.  Later levels therefore see the strongest entries
-//     up front and absorb them instead of first deriving weaker ones that
-//     the next Jacobi iteration would discard — this is what collapses the
-//     per-H-iteration re-flooding.  Per-vertex change stamps tell every
-//     level exactly which inputs changed since it last ran, across and
-//     within sweeps (the cross-H-iteration frontier).
+//     the all-vertices frontier of the Jacobi operator.
+//   * Gauss–Seidel sweeps.  One H-iteration is a sweep over the levels
+//     that merges each level's projected output into the working vector
+//     immediately, so later levels of the sweep consume it at once
+//     instead of waiting for the next H-iteration.  Sweep directions
+//     alternate, the first one ascending (λ = 0 first): min-hop shortest
+//     paths in H climb the level hierarchy and then descend (Lemma 4.3),
+//     so an ascending sweep cascades the climb and the following
+//     descending sweep cascades the descent — one up/down pair propagates
+//     an entire H-path where the Jacobi operator needs Θ(SPD(H))
+//     iterations.  Per-vertex change stamps tell every level exactly which
+//     inputs changed since it last ran, across and within sweeps (the
+//     cross-H-iteration frontier).
 //
-// Both schedules are fair monotone fixpoint iterations of the same
-// component operators F_λ = P_λ (r^V A_λ)^d P_λ over an idempotent
-// semimodule of finite height, so they converge to the same least fixpoint
-// (chaotic-iteration theorem) — the final states are bit-identical, which
-// the differential tests check.  Intermediate iterates differ: with reuse,
-// step() is a sweep, not an application of Equation (5.9)'s operator.
+// The sweeps and the Jacobi operator are both fair monotone fixpoint
+// iterations of the same component operators F_λ = P_λ (r^V A_λ)^d P_λ
+// over an idempotent semimodule of finite height, so they converge to the
+// same least fixpoint (chaotic-iteration theorem) — the final states are
+// bit-identical, which the differential tests check.  Intermediate
+// iterates differ: a sweep is not an application of Equation (5.9)'s
+// operator.
 //
 // == Dynamic updates (update()) ==
 //
@@ -133,7 +137,7 @@ enum class OracleUpdateKind : std::uint8_t {
 
 /// Statistics of an oracle run (depth/work proxies for Theorem 5.2).
 struct OracleStats {
-  unsigned h_iterations = 0;       ///< H-iterations (sweeps, with reuse)
+  unsigned h_iterations = 0;       ///< H-iterations (sweeps)
   unsigned base_iterations = 0;    ///< MBF iterations executed on G'
   bool reached_fixpoint = false;
   /// Level-reuse accounting across all sweeps: per (sweep, level) pair
@@ -153,7 +157,6 @@ class MbfOracle {
   MbfOracle(const SimulatedGraph& h, const Algebra& alg, MbfOptions opts = {})
       : h_(&h),
         alg_(&alg),
-        opts_(opts),
         engine_(h.base(), alg, engine_options(opts)),
         bottom_(alg.bottom()) {
     const unsigned levels = h.max_level() + 1;
@@ -176,10 +179,10 @@ class MbfOracle {
   /// Step until the changed set drains (the filtered fixpoint, ≤ SPD(H) ∈
   /// O(log² n) H-iterations w.h.p., Theorem 4.5) or `max_h_iterations`
   /// steps ran, replacing `states` in place.  The changed set between
-  /// consecutive H-iterations is threaded into step(), so levels whose
+  /// consecutive H-iterations is threaded into sweep(), so levels whose
   /// inputs did not change (or are absorbed by their cached closure) are
   /// skipped wholesale and the rest warm-restart.  `changed0` is the
-  /// first step's changed list: nullptr stamps every vertex (fresh runs),
+  /// first sweep's changed list: nullptr stamps every vertex (fresh runs),
   /// an empty list stamps none (continuations after update() — the
   /// weights changed, not the states).
   FixpointRun run_to_fixpoint(std::vector<State>& states,
@@ -190,7 +193,7 @@ class MbfOracle {
     std::vector<Vertex> changed;  // vs the previous H-iteration, sorted
     const std::vector<Vertex>* changed_ptr = changed0;
     for (unsigned i = 0; i < max_h_iterations; ++i) {
-      auto next = step(states, changed_ptr);
+      auto next = sweep(states, changed_ptr);
       ++run.iterations;
       // Fixpoint test and cross-H-iteration frontier in one pass.
       buffers.clear();
@@ -270,38 +273,18 @@ class MbfOracle {
  private:
   enum class CacheState : std::uint8_t { kEmpty, kTruncated, kFixpoint };
 
-  /// One H-iteration.  With reuse: a Gauss–Seidel sweep whose input `x`
-  /// must be the previous step()'s return value, with `changed` the sorted
-  /// vertex list where x differs from the states the previous step() was
-  /// given (nullptr = treat every vertex as changed) — run_to_fixpoint
-  /// threads both.  Without reuse: the Jacobi reference operator of
-  /// Equation (5.9), x ↦ r^V ⊕_λ P_λ (r^V A_λ)^d P_λ x.
-  [[nodiscard]] std::vector<State> step(const std::vector<State>& x,
-                                        const std::vector<Vertex>* changed) {
-    PMTE_CHECK(x.size() == h_->base().num_vertices(),
-               "MbfOracle::step: state size mismatch");
-    ++stats_.h_iterations;
-    PMTE_OBS_SPAN("oracle.step",
-                  static_cast<std::int64_t>(stats_.h_iterations),
-                  "h_iteration");
-    return opts_.oracle_level_reuse ? sweep(x, changed) : jacobi_step(x);
-  }
-
   static MbfOptions engine_options(MbfOptions opts) {
     // Per-level inputs are filtered (P_λ preserves that: r ⊥ = ⊥, r
     // idempotent) and warm seeds are filtered on merge.
     opts.filter_initial = false;
-    // With reuse, force sparse gathers: a relax is a semimodule merge —
+    // Force sparse gathers under kAuto: a relax is a semimodule merge —
     // for the map-valued oracle algebras far more expensive than the
     // byte-sized frontier membership test the dense pull avoids — so the
     // kAuto density heuristic (tuned for scalar states) picks the slower
     // round shape here.  Measured on the 2048-path LE pipeline, sparse
     // rounds cut relaxations ~2× *and* wall time ~1.4×.  kDense remains
-    // available as the escape hatch; the reference path (no reuse) keeps
-    // the caller's mode to stay comparable with the pre-reuse behaviour.
-    if (opts.oracle_level_reuse && opts.mode == MbfMode::kAuto) {
-      opts.mode = MbfMode::kSparse;
-    }
+    // available as the escape hatch.
+    if (opts.mode == MbfMode::kAuto) opts.mode = MbfMode::kSparse;
     return opts;
   }
 
@@ -353,51 +336,20 @@ class MbfOracle {
     run_and_cache(lambda);
   }
 
-  // ---------------------------------------------------------------------
-  // Reference path (oracle_level_reuse = false): the pre-reuse Jacobi
-  // operator — every level restarts from a full-frontier copy of x.
-  std::vector<State> jacobi_step(const std::vector<State>& x) {
-    const std::size_t n = x.size();
-    std::vector<State> acc(n);
-    parallel_for(n, [&](std::size_t v) { acc[v] = alg_->bottom(); });
-    for (unsigned lambda = 0; lambda <= h_->max_level(); ++lambda) {
-      engine_.set_weight_scale(h_->level_scale(lambda));
-      ++stats_.levels_full;
-      PMTE_OBS_ONLY(
-          if (obs::metrics_on()) obs_detail::oracle_obs().full.add(1));
-      std::vector<State> seed = std::move(cache_[lambda]);
-      seed.resize(n);
-      parallel_for(n, [&](std::size_t vi) {
-        seed[vi] = h_->levels().level(static_cast<Vertex>(vi)) >= lambda
-                       ? x[vi]
-                       : alg_->bottom();
-      });
-      engine_.reset(std::move(seed));
-      run_and_cache(lambda);
-      // acc ⊕= P_λ cache: the projection applied on the fly — vertices
-      // below level λ are simply not aggregated.
-      const auto& z = cache_[lambda];
-      parallel_for(n, [&](std::size_t vi) {
-        if (h_->levels().level(static_cast<Vertex>(vi)) >= lambda) {
-          alg_->aggregate(acc[vi], z[vi]);
-        }
-      });
-      WorkDepth::add_depth_serial(1);
-    }
-    mbf_filter(*alg_, acc);
-    return acc;
-  }
-
-  // ---------------------------------------------------------------------
-  // Reuse path: one Gauss–Seidel sweep over the levels.  Sweep directions
-  // alternate (ascending λ first): min-hop shortest paths in H climb the
-  // level hierarchy monotonically and then descend (Lemma 4.3), so an
-  // ascending sweep cascades the whole climb — every level consumes the
-  // fresh output of the levels below it — and the following descending
-  // sweep cascades the whole descent.  One up/down pair propagates an
-  // entire H-path where the Jacobi operator needs Θ(SPD(H)) iterations.
-  std::vector<State> sweep(const std::vector<State>& x,
-                           const std::vector<Vertex>* changed) {
+  // One H-iteration: a Gauss–Seidel sweep over the levels, ascending on
+  // odd-numbered sweeps (the first included) and descending on
+  // even-numbered ones (see the file header).  `x` must be the previous
+  // sweep's return value and `changed` the sorted vertex list where x
+  // differs from the states that sweep was given (nullptr = treat every
+  // vertex as changed) — run_to_fixpoint threads both.
+  [[nodiscard]] std::vector<State> sweep(const std::vector<State>& x,
+                                         const std::vector<Vertex>* changed) {
+    PMTE_CHECK(x.size() == h_->base().num_vertices(),
+               "MbfOracle::sweep: state size mismatch");
+    ++stats_.h_iterations;
+    PMTE_OBS_SPAN("oracle.step",
+                  static_cast<std::int64_t>(stats_.h_iterations),
+                  "h_iteration");
     const std::size_t n = x.size();
     std::vector<State> y = x;  // the working vector the sweep improves
 
@@ -533,7 +485,6 @@ class MbfOracle {
 
   const SimulatedGraph* h_;
   const Algebra* alg_;
-  MbfOptions opts_;
   MbfEngine<Algebra> engine_;
   State bottom_;
   std::vector<std::vector<State>> cache_;  // per level, unprojected

@@ -25,7 +25,8 @@ namespace pmte::test {
 /// per vertex.  LeListAlgebra filters inside every merge instead; by the
 /// congruence of r (Lemma 7.5) both must reach bit-identical states with
 /// identical relaxation and iteration counts — only `work` may differ.
-/// With mbf_step(…, apply_filter = false) this is also the raw product A x.
+/// With test::mbf_step(…, apply_filter = false) (mbf_reference.hpp) this is
+/// also the raw product A x.
 struct MergeThenFilterLeAlgebra {
   using State = DistanceMap;
 

@@ -8,10 +8,13 @@
 #include "src/graph/shortest_paths.hpp"
 #include "src/mbf/algebras.hpp"
 #include "src/mbf/engine.hpp"
+#include "tests/support/mbf_reference.hpp"
 #include "tests/support/reference.hpp"
 
 namespace pmte {
 namespace {
+
+using test::mbf_step;  // the dense one-shot reference iteration
 
 TEST(MbfEngine, SingleStepIsMatrixVectorProduct) {
   // x⁽¹⁾ = A x⁽⁰⁾ over Smin,+/D must equal one Bellman-Ford round.

@@ -17,14 +17,18 @@
 // threads in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/frt/le_lists.hpp"
 #include "src/graph/generators.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
@@ -33,6 +37,7 @@
 #include "src/serve/frt_ensemble.hpp"
 #include "src/serve/server.hpp"
 #include "src/serve/workloads.hpp"
+#include "tests/support/fixtures.hpp"
 
 namespace pmte {
 namespace {
@@ -317,6 +322,66 @@ TEST(ObsSpan, ConstructionStagesEmitOneSpanPerStageRun) {
     EXPECT_EQ(count_trace_events(text, "simgraph.build"), 1u) << t;
     EXPECT_EQ(count_trace_events(text, "frt.tree_build"), kTrees) << t;
     EXPECT_EQ(count_trace_events(text, "index.build"), kTrees) << t;
+  }
+}
+
+TEST(ObsSpan, OracleSweepsAlternateStartingAscending) {
+  // The oracle.level_run spans of each oracle.step show the sweep order:
+  // the first sweep runs every level (all caches are empty) in ascending
+  // order, and the directions then alternate, so the levels a sweep runs
+  // (skipped ones emit no span) are strictly descending in the second
+  // sweep, ascending in the third, and so on.  On one thread every span
+  // lands in one ring, and start times order them as they ran.
+  const ObsGuard guard;
+  const ThreadGuard threads;
+  set_num_threads(1);
+  const auto g = test::support_graph("path", 256, 91);
+  const auto h = test::make_test_simgraph(g, 92, /*exact_hopset=*/false,
+                                          /*eps_hat=*/0.05);
+  Rng rng(93);
+  const auto order = VertexOrder::random(g.num_vertices(), rng);
+  obs::ObsConfig cfg;
+  cfg.trace = true;
+  cfg.trace_events_per_thread = std::size_t{1} << 16;  // no ring wrap
+  obs::configure(cfg);
+  obs::trace_sink().clear();
+  const auto le = le_lists_oracle(h, order);
+  obs::configure({});
+  ASSERT_TRUE(le.converged);
+  EXPECT_EQ(obs::trace_sink().dropped(), 0u);
+
+  std::ostringstream os;
+  obs::trace_sink().write_chrome_trace(os);
+  std::vector<std::vector<std::int64_t>> sweeps;  // levels run, per step
+  std::istringstream lines(os.str());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"name\":\"oracle.step\"") != std::string::npos) {
+      sweeps.emplace_back();
+    } else if (line.find("\"name\":\"oracle.level_run\"") !=
+               std::string::npos) {
+      const std::string key = "\"level\":";
+      const auto at = line.find(key);
+      ASSERT_NE(at, std::string::npos) << line;
+      ASSERT_FALSE(sweeps.empty()) << "level run outside a step";
+      sweeps.back().push_back(std::stoll(line.substr(at + key.size())));
+    }
+  }
+  ASSERT_EQ(sweeps.size(), le.iterations);
+  ASSERT_GE(sweeps.size(), 2u);
+
+  std::vector<std::int64_t> all_levels(h.max_level() + 1);
+  std::iota(all_levels.begin(), all_levels.end(), 0);
+  EXPECT_EQ(sweeps[0], all_levels);
+  EXPECT_GE(sweeps[1].size(), 2u);
+  for (std::size_t i = 1; i < sweeps.size(); ++i) {
+    const auto& run = sweeps[i];
+    const bool out_of_order =
+        i % 2 == 0
+            ? std::adjacent_find(run.begin(), run.end(),
+                                 std::greater_equal<>()) != run.end()
+            : std::adjacent_find(run.begin(), run.end(),
+                                 std::less_equal<>()) != run.end();
+    EXPECT_FALSE(out_of_order) << "sweep " << i + 1;
   }
 }
 

@@ -4,10 +4,11 @@
 // materialised H.  This validates Lemma 5.1, Equation (5.9) and the
 // intermediate-filtering argument end to end.
 //
-// The level-reuse differential tests additionally pin the reuse pipeline
-// (Gauss–Seidel sweeps, per-level caches, warm restarts) to the pre-reuse
-// Jacobi reference bit for bit: both are fair monotone iterations of the
-// same per-level operators, so their fixpoints must coincide exactly.
+// The level-reuse differential tests additionally pin the oracle
+// (Gauss–Seidel sweeps, per-level caches, warm restarts) to the Jacobi
+// reference of tests/support/mbf_reference.hpp bit for bit: both are fair
+// monotone iterations of the same per-level operators, so their fixpoints
+// must coincide exactly.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,6 +19,7 @@
 #include "src/oracle/mbf_oracle.hpp"
 #include "src/parallel/counters.hpp"
 #include "tests/support/fixtures.hpp"
+#include "tests/support/mbf_reference.hpp"
 #include "tests/support/reference.hpp"
 
 namespace pmte {
@@ -146,8 +148,7 @@ TEST(Oracle, StatsAreAccounted) {
   // The reference (Jacobi) semantics of Equation (5.9): every level runs
   // every H-iteration, at most d and at least one G'-iteration each.
   OracleStats ref;
-  (void)oracle_run(h, alg, le_initial_state(order), 64, &ref,
-                   MbfOptions{.oracle_level_reuse = false});
+  (void)test::jacobi_oracle_run(h, alg, le_initial_state(order), 64, &ref);
   EXPECT_TRUE(ref.reached_fixpoint);
   EXPECT_GT(ref.h_iterations, 0U);
   EXPECT_EQ(ref.levels_full, ref.h_iterations * (h.max_level() + 1));
@@ -156,7 +157,7 @@ TEST(Oracle, StatsAreAccounted) {
             ref.h_iterations * h.hop_bound() * (h.max_level() + 1));
   EXPECT_GE(ref.base_iterations, ref.h_iterations * (h.max_level() + 1));
 
-  // With reuse, every (sweep, level) pair is accounted exactly once.
+  // The oracle accounts every (sweep, level) pair exactly once.
   OracleStats reuse;
   (void)oracle_run(h, alg, le_initial_state(order), 64, &reuse);
   EXPECT_TRUE(reuse.reached_fixpoint);
@@ -189,8 +190,8 @@ TEST(Oracle, FixpointIsFastOnHighSpdGraph) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential tests: the level-reusing oracle against the pre-reuse
-// reference path (MbfOptions::oracle_level_reuse = false).
+// Differential tests: the level-reusing oracle against the Jacobi
+// reference (test::jacobi_oracle_run).
 
 class LevelReuseDifferential
     : public ::testing::TestWithParam<std::uint64_t> {};
@@ -198,7 +199,8 @@ class LevelReuseDifferential
 TEST_P(LevelReuseDifferential, LeListsBitIdenticalAcrossFamilies) {
   // Hub hop sets (d > 1, truncating levels) and ε̂ > 0 (distinct level
   // scales) exercise every reuse mechanism: skips, warm restarts, and the
-  // truncation fallback.
+  // truncation fallback.  The oracle's dense mode (kDense: every level
+  // round a full pull) must reach the same lists.
   for (const char* family : {"gnm", "grid", "powerlaw", "path"}) {
     const auto g = test::support_graph(family, 96, GetParam());
     const auto h =
@@ -207,12 +209,16 @@ TEST_P(LevelReuseDifferential, LeListsBitIdenticalAcrossFamilies) {
     Rng rng(GetParam() + 29);
     const auto order = VertexOrder::random(g.num_vertices(), rng);
     const auto reuse = le_lists_oracle(h, order, 0);
-    const auto ref = le_lists_oracle(
-        h, order, 0, MbfOptions{.oracle_level_reuse = false});
+    const auto dense =
+        le_lists_oracle(h, order, 0, MbfOptions{.mode = MbfMode::kDense});
+    const auto ref = test::jacobi_le_lists(h, order);
     ASSERT_TRUE(reuse.converged) << family;
+    ASSERT_TRUE(dense.converged) << family;
     ASSERT_TRUE(ref.converged) << family;
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
       EXPECT_EQ(reuse.lists[v], ref.lists[v]) << family << " vertex " << v;
+      EXPECT_EQ(dense.lists[v], ref.lists[v])
+          << family << " kDense vertex " << v;
     }
   }
 }
@@ -228,8 +234,7 @@ TEST_P(LevelReuseDifferential, ScalarAndSourceDetectionBitIdentical) {
     x0[3] = 0.0;
     x0[40] = 0.0;
     auto a = oracle_run(h, alg, x0, 256);
-    auto b = oracle_run(h, alg, x0, 256, nullptr,
-                        MbfOptions{.oracle_level_reuse = false});
+    auto b = test::jacobi_oracle_run(h, alg, x0, 256);
     ASSERT_TRUE(a.reached_fixpoint && b.reached_fixpoint);
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
       EXPECT_EQ(a.states[v], b.states[v]) << "vertex " << v;
@@ -242,8 +247,7 @@ TEST_P(LevelReuseDifferential, ScalarAndSourceDetectionBitIdentical) {
       x0[s] = DistanceMap::singleton(s, 0.0);
     }
     auto a = oracle_run(h, alg, x0, 256);
-    auto b = oracle_run(h, alg, x0, 256, nullptr,
-                        MbfOptions{.oracle_level_reuse = false});
+    auto b = test::jacobi_oracle_run(h, alg, x0, 256);
     ASSERT_TRUE(a.reached_fixpoint && b.reached_fixpoint);
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
       EXPECT_EQ(a.states[v], b.states[v]) << "vertex " << v;
@@ -334,8 +338,7 @@ TEST(LevelReuse, SweepsSkipWarmRestartAndCutRelaxations) {
   const std::uint64_t reuse_relax = reuse_scope.relaxations_delta();
 
   const WorkDepthScope ref_scope;
-  const auto ref = le_lists_oracle(h, order, 0,
-                                   MbfOptions{.oracle_level_reuse = false});
+  const auto ref = test::jacobi_le_lists(h, order);
   const std::uint64_t ref_relax = ref_scope.relaxations_delta();
 
   ASSERT_TRUE(reuse.converged);
